@@ -64,20 +64,31 @@ def varint_encode(values: np.ndarray) -> np.ndarray:
 
 
 def varint_decode(buf: np.ndarray) -> np.ndarray:
-    """Decode a LEB128 byte stream (exact slice) back to a uint64 array."""
+    """Decode a LEB128 byte stream (exact slice) back to a uint64 array.
+
+    Continuation bytes after the last terminal byte (a value cut off
+    mid-varint) are dropped.  A blob with no continuation bit set is one
+    byte per value — the common case for doc gaps, freqs and positions —
+    and decodes in one cast.  Otherwise each value starts as its terminal
+    byte, which holds the top 7 bits (LEB128 is little-endian), and each
+    pass folds in the preceding continuation byte of the values that
+    still have one: at most 4 passes, each over a shrinking subset."""
     b = np.asarray(buf, dtype=np.uint8)
-    if len(b) == 0:
-        return np.empty(0, dtype=np.uint64)
-    ends = np.flatnonzero(b < 0x80)
-    starts = np.empty(len(ends), dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    nb = ends - starts + 1
-    vals = np.zeros(len(ends), dtype=np.uint64)
-    for j in range(int(nb.max())):
-        mask = nb > j
-        vals[mask] |= (b[starts[mask] + j].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * j)
-    return vals
+    if len(b) == 0 or b.max() < 0x80:
+        return b.astype(np.uint64)
+    # a leading terminal byte stops every backward walk inside the buffer
+    b = np.concatenate((np.zeros(1, dtype=np.uint8), b))
+    pos = np.flatnonzero(b < 0x80)[1:]
+    vals = b[pos].astype(np.uint64)
+    at = np.arange(len(pos))
+    while True:
+        pos = pos - 1
+        byte = b[pos]
+        keep = np.flatnonzero(byte >= 0x80)
+        if len(keep) == 0:
+            return vals
+        at, pos = at[keep], pos[keep]
+        vals[at] = (vals[at] << np.uint64(7)) | (byte[keep] & np.uint8(0x7F))
 
 
 def encode_with_offsets(values: np.ndarray, boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -716,8 +716,8 @@ class SegmentReader:
     # can't blow the heap (the reference leans on the OS page cache +
     # per-reader format caches for the same effect)
     # _CACHE_MAX_POSTINGS is the element-count FLOOR, sized so a
-    # 1M-doc-corpus head term's postings AND its packed occurrence-key
-    # array both fit (≈240k occurrences/segment each; ~16 MB/reader);
+    # 1M-doc-corpus head term's occurrence-key array fits many times over
+    # (≈240k occurrences/segment; ~16 MB/reader at the floor);
     # _cache_budget() scales it with segment size — see the 5M-doc
     # HighPhrase finding in BASELINE.md
     _CACHE_MAX_POSTINGS = 2_000_000
@@ -725,17 +725,19 @@ class SegmentReader:
 
     def _cache_budget(self) -> int:
         """Postings-LRU element budget: max(floor, 80 elements per doc in
-        the segment).  A head term's positional entry is ≈ (tf+3)·n_docs
-        elements (docs+freqs+positions+run_offsets) and its occurrence-key
-        array tf·n_docs more, so the fixed 2M floor stopped covering head
-        terms once segments passed ~30k docs — at a 5M-doc corpus (78k
-        docs/segment, head tf≈16) every warm phrase query re-decoded ~2M
-        position varints per term through the oversize bypass (measured:
-        HighPhrase 4.4 s at 5M vs the expected ~0.7 s linear growth).
-        80 el/doc keeps a two-head-term phrase working set resident and
-        caps a fully-hot reader at ~640 B/doc (50 MB at 78k docs); only
-        readers actually serving head queries ever fill it, and
-        distributed serving spreads segment groups across actors."""
+        the segment).  A phrase term costs its occurrence-key array only,
+        ≈ tf·n_docs elements (head tf≈16 at a 5M-doc corpus); its
+        positional tuple (docs+freqs+positions+run_offsets, ≈ (tf+3)·n_docs)
+        is cached only for oversize terms, whose keys exceed budget // 4
+        and are rebuilt from it per query (see ``occurrence_keys``).  The
+        fixed 2M floor stopped covering head terms once segments passed
+        ~30k docs — at 78k docs/segment every warm phrase query re-decoded
+        ~2M position varints per term (measured: HighPhrase 4.4 s at 5M vs
+        the expected ~0.7 s linear growth).  80 el/doc keeps a
+        multi-head-term phrase working set resident and caps a fully-hot
+        reader at ~640 B/doc (50 MB at 78k docs); only readers actually
+        serving head queries ever fill it, and distributed serving spreads
+        segment groups across actors."""
         b = getattr(self, "_cache_budget_v", None)
         if b is None:
             n = int(getattr(self, "num_docs", 0) or 0)
@@ -809,15 +811,22 @@ class SegmentReader:
 
     def occurrence_keys(self, idx: int) -> np.ndarray:
         """Sorted int64 ``(doc << pos_bits) | position`` per occurrence of
-        term row ``idx`` — the phrase-intersection working set, cached in
-        the postings LRU so repeated phrase queries over the same (head)
-        terms skip the repeat/shift rebuild (the dominant warm-phrase
-        cost).  Oversized head-term arrays serve uncached (the rebuild is
-        one vectorized repeat+shift over cached postings)."""
+        term row ``idx`` — the working set of every positional filter
+        (phrase, same-position, variadic phrase).  Only the keys enter the
+        postings LRU: a miss decodes the term's blobs straight into keys
+        and drops the positional tuple.  Oversize terms (keys > budget // 4,
+        the 1M-doc LRU-thrash fix) instead cache the positional tuple and
+        serve their keys uncached, rebuilt per query by one vectorized
+        repeat+shift."""
         def build():
-            docs, freqs, pos, _ = self.postings(idx, positions=True)
-            return (np.repeat(docs.astype(np.int64, copy=False), freqs)
+            post = (self._post_cache.get((idx, True))
+                    or self._decode_postings(idx, positions=True))
+            docs, freqs, pos, _ = post
+            keys = (np.repeat(docs.astype(np.int64, copy=False), freqs)
                     << np.int64(self.pos_bits)) | pos
+            if _cache_entry_size(keys) > self._cache_budget() // 4:
+                self.cached_entry((idx, True), lambda: post)
+            return keys
 
         return self.cached_entry((idx, "keys"), build, oversize_bypass=True)
 

@@ -139,6 +139,18 @@ def df_collect_nodes(flt) -> list:
     return out
 
 
+def _aligned_keys(seg_reader, ti: int, i: int) -> np.ndarray:
+    """Occurrence keys of term row ``ti`` shifted to the phrase start for
+    a term at phrase offset ``i``: ``(doc << pos_bits) | (position - i)``
+    over the occurrences with position >= i (subtracting i elsewhere
+    would borrow into the doc id).  Sorted, like the cached keys."""
+    base = seg_reader.occurrence_keys(ti)
+    if not i:
+        return base
+    pos_mask = (np.int64(1) << np.int64(seg_reader.pos_bits)) - np.int64(1)
+    return base[(base & pos_mask) >= i] - np.int64(i)
+
+
 def _isin_sorted(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Membership of sorted ``keys`` in sorted ``k`` via searchsorted —
     no re-sort (np.isin would sort both again)."""
@@ -560,18 +572,12 @@ class _PreparedVarPhrase(Prepared):
             rows = rows_by_seg.get(seg.id)
             if rows is None or len(rows) == 0:
                 return _empty(self.sp.dtype)
-            ks = []
-            for r in rows:
-                docs, freqs, pos, _ = seg.reader.postings(int(r), positions=True)
-                doc_per_occ = np.repeat(docs.astype(np.int64), freqs)
-                aligned = pos - i
-                ok = aligned >= 0
-                ks.append((doc_per_occ[ok] << np.int64(32)) | aligned[ok])
+            ks = [_aligned_keys(seg.reader, int(r), i) for r in rows]
             k = np.unique(np.concatenate(ks))  # variants may share a start
             keys = k if keys is None else keys[_isin_sorted(keys, k)]
             if len(keys) == 0:
                 return _empty(self.sp.dtype)
-        match_docs = keys >> np.int64(32)
+        match_docs = keys >> np.int64(seg.reader.pos_bits)
         u_docs, phrase_freq = np.unique(match_docs, return_counts=True)
         scores = self.sp.score(phrase_freq, seg.reader.doc_len[u_docs - 1],
                                seg.tiny)
@@ -588,20 +594,12 @@ class _PreparedPhrase(Prepared):
         # part_index) per part, from the reader's cached sorted key
         # arrays; intersect SMALLEST-first (order-free: symmetric)
         pb = np.int64(seg.reader.pos_bits)
-        pos_mask = (np.int64(1) << pb) - np.int64(1)
         parts = []
         for i, idxs in enumerate(self.idx_maps):
             ti = idxs.get(seg.id, -1)
             if ti < 0:
                 return _empty(self.sp.dtype)
-            base = seg.reader.occurrence_keys(ti)
-            if i:
-                # subtracting i from the position field is only valid
-                # where position >= i (else it borrows into the doc id)
-                k = base[(base & pos_mask) >= i] - np.int64(i)
-            else:
-                k = base
-            parts.append(k)
+            parts.append(_aligned_keys(seg.reader, ti, i))
         parts.sort(key=len)
         doc_len = seg.reader.doc_len
         occ = sum(len(p) for p in parts)
@@ -1073,18 +1071,16 @@ class _PreparedSamePosition(Prepared):
         self.sp = phrase_prep.sp
 
     def execute(self, seg):
-        keys = None  # (doc << 32) | position, no per-term offset
+        keys = None  # occurrence keys, no per-term offset
         for idxs in self.pp.idx_maps:
             ti = idxs.get(seg.id, -1)
             if ti < 0:
                 return _empty(self.sp.dtype)
-            docs, freqs, pos, _ = seg.reader.postings(ti, positions=True)
-            doc_per_occ = np.repeat(docs.astype(np.int64), freqs)
-            k = (doc_per_occ << np.int64(32)) | pos  # sorted (doc-major)
+            k = seg.reader.occurrence_keys(ti)
             keys = k if keys is None else keys[_isin_sorted(keys, k)]
             if len(keys) == 0:
                 return _empty(self.sp.dtype)
-        match_docs = keys >> np.int64(32)
+        match_docs = keys >> np.int64(seg.reader.pos_bits)
         u_docs, freq = np.unique(match_docs, return_counts=True)
         scores = self.sp.score(freq, seg.reader.doc_len[u_docs - 1], seg.tiny)
         return u_docs, scores

@@ -28,6 +28,47 @@ def test_varint_empty():
     assert len(codec.varint_decode(np.empty(0, dtype=np.uint8))) == 0
 
 
+def _leb128_reference(buf) -> list[int]:
+    """Byte-at-a-time LEB128 decode; a value cut off at the end is dropped."""
+    out, val, shift = [], 0, 0
+    for byte in bytes(buf):
+        val |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            out.append(val)
+            val, shift = 0, 0
+        else:
+            shift += 7
+    return out
+
+
+def _random_widths_stream(rng, n):
+    """``n`` values whose LEB128 encodings are 1-5 bytes, widths uniform."""
+    widths = rng.integers(1, 6, size=n)
+    lo = np.where(widths > 1, 1 << (7 * (widths - 1)), 0)
+    return rng.integers(lo, 1 << (7 * widths), dtype=np.int64).astype(np.uint64)
+
+
+def test_varint_decode_matches_reference_decoder():
+    rng = np.random.default_rng(11)
+    streams = [_random_widths_stream(rng, n) for n in (1, 2, 5, 64, 1000)]
+    streams.append(rng.integers(0, 128, size=500).astype(np.uint64))  # all single-byte
+    streams.append(np.array([2**35 - 1, 0, 2**28, 127], dtype=np.uint64))  # 5-byte values
+    for vals in streams:
+        buf = codec.varint_encode(vals)
+        assert _leb128_reference(buf) == vals.tolist()
+        out = codec.varint_decode(buf)
+        assert out.dtype == np.uint64
+        assert out.tolist() == vals.tolist()
+        # cut anywhere, including mid-varint: the partial tail is dropped
+        for cut in sorted({0, 1, len(buf) // 2, len(buf) - 1}):
+            assert codec.varint_decode(buf[:cut]).tolist() == \
+                _leb128_reference(buf[:cut])
+    assert codec.varint_decode(np.empty(0, dtype=np.uint8)).dtype == np.uint64
+    # a blob that ends mid-varint before any value completes decodes to nothing
+    assert codec.varint_decode(np.array([0x81, 0x80], dtype=np.uint8)).tolist() == []
+    assert codec.varint_decode(np.array([5, 0x81], dtype=np.uint8)).tolist() == [5]
+
+
 def test_encode_with_offsets_slices_decode_independently():
     vals = RNG.integers(0, 1 << 20, size=10_000).astype(np.uint64)
     bounds = np.array([0, 100, 100, 5000, 10_000], dtype=np.int64)  # incl. empty group

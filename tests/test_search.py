@@ -449,6 +449,51 @@ def test_postings_lru_eviction_covers_all_entry_kinds():
     assert r._post_cache_size == before
 
 
+def test_phrase_lru_caches_only_occurrence_keys(tmp_path):
+    """A warm fixed phrase leaves one LRU artifact per term: its
+    occurrence keys, never the positional tuple they were decoded from.
+    With a budget small enough that the keys are oversize
+    (> budget // 4) each term keeps its positional tuple cached and its
+    keys uncached.  The answers are identical either way."""
+    from iresearch_ray.analysis.tokenizers import flatten_batch
+    from iresearch_ray.index.manifest import commit as manifest_commit
+    from iresearch_ray.index.segment import SegmentWriter, _cache_entry_size
+
+    ana = get_analyzer("ascii")
+    w = SegmentWriter("seg-00000", ana.config())
+    texts = ["x y x y x y x y", "y x y x y x y x", "x x y y x x y y", "z"]
+    w.add_batch(flatten_batch(ana, texts), ["a", "b", "c", "d"])
+    meta = w.flush(str(tmp_path))
+    manifest_commit(str(tmp_path), [{k: meta[k] for k in (
+        "segment_id", "num_docs", "sum_doc_len", "num_terms")}])
+    reader = IndexReader(str(tmp_path))
+    r = reader.segments[0].reader
+    rows = [r.lookup("x"), r.lookup("y")]
+    flt = PhraseFilter(["x", "y"])
+
+    cold = _engine_matches(reader, flt)
+    warm = _engine_matches(reader, flt)
+    for i in rows:
+        assert (i, "keys") in r._post_cache
+        assert (i, True) not in r._post_cache
+
+    r._post_cache = None
+    tuples = [r._decode_postings(i, positions=True) for i in rows]
+    # both positional tuples fit; both key arrays are oversize
+    r._cache_budget_v = sum(_cache_entry_size(t) for t in tuples)
+    assert all(t[2].size > r._cache_budget_v // 4 for t in tuples)
+    small = _engine_matches(reader, flt)
+    small_warm = _engine_matches(reader, flt)
+    for i in rows:
+        assert (i, True) in r._post_cache
+        assert (i, "keys") not in r._post_cache
+
+    assert list(cold[0]) == [1, 2, 3]
+    for docs, scores in (warm, small, small_warm):
+        assert np.array_equal(docs, cold[0])
+        assert np.array_equal(scores, cold[1])
+
+
 def test_expansion_match_cache_uses_oversize_bypass():
     """Expansion match-row arrays enter the LRU with oversize_bypass: one
     broad wildcard/range matching most of a large dictionary must not
