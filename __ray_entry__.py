@@ -1290,7 +1290,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
             _with_messy_urls, batch_format="pyarrow").map_batches(
             _with_synth_html, batch_format="pyarrow")
         ranks = graph.domain_rank(docs, iterations=10).materialize()
-        units = np.sort(ranks.to_pandas()["rank_units"].to_numpy())[::-1]
+        rank_df = ranks.to_pandas()
+        if not len(rank_df):
+            # no ranked domain, no threshold: nothing clears it (the SQL
+            # twin's threshold CTE is empty, so it keeps no rows either)
+            return pd.DataFrame({"doc_id": np.empty(0, dtype=np.int64)})
+        units = np.sort(rank_df["rank_units"].to_numpy())[::-1]
         thr = int(units[math.ceil(len(units) / 2) - 1])
         corpus = ray_docs(sf_dir, ["doc_id"]).map_batches(
             _with_ranked_urls, batch_format="pyarrow")

@@ -22,6 +22,9 @@ The batch API is ``tokenize_batch(texts) -> (tokens, counts)`` where
 ``tokens`` is one flat Python list over the whole batch and ``counts`` the
 per-doc token counts; positions are the per-doc token ordinals (derived
 vectorially by the caller).  Token emission order defines positions.
+``flatten_batch`` (any analyzer, any index feature) and
+``flatten_batch_arrow`` (Arrow kernels, ascii ``pos`` only) turn a batch
+into the one coded form ``SegmentWriter.add_batch_coded`` takes.
 """
 
 from __future__ import annotations
@@ -430,18 +433,32 @@ register_analyzer("pipeline", lambda stages: PipelineAnalyzer(
      for s in stages]))
 
 
+def _coded_batch(codes: np.ndarray, dict_np: np.ndarray, doc_len: np.ndarray,
+                 **attrs: np.ndarray) -> dict[str, np.ndarray]:
+    """The coded form both tokenize paths return: ``codes`` (int64 per
+    occurrence, batch-local) into ``dict`` (object ndarray, code -> term),
+    batch-local ``doc_idx``, ``position`` (token ordinal within its doc)
+    and per-doc ``doc_len``, plus any per-occurrence feature ``attrs``.
+    Occurrences arrive in document order, so ``doc_len`` alone gives
+    ``doc_idx`` and ``position``."""
+    n_docs = len(doc_len)
+    doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), doc_len)
+    starts = np.zeros(n_docs, dtype=np.int64)
+    np.cumsum(doc_len[:-1], out=starts[1:])
+    position = np.arange(len(doc_idx), dtype=np.int64) - np.repeat(starts, doc_len)
+    return {"codes": codes, "dict": dict_np, "doc_idx": doc_idx,
+            "position": position, "doc_len": doc_len, **attrs}
+
+
 def flatten_batch_arrow(analyzer: Analyzer, texts) -> dict[str, np.ndarray]:
-    """Arrow-native tokenize: text column -> coded postings-ready arrays.
+    """Arrow-native tokenize: text column -> the coded form (``_coded_batch``).
 
     All heavy work (case fold, regex split, flatten, dictionary hash) runs in
     Arrow C kernels — no per-token Python objects, which is what keeps the
     build memory-bandwidth-friendly at high task concurrency.  Only usable
     when ``analyzer.arrow_split_pattern`` is set (the deterministic ascii
-    word tokenizer); output tokens are IDENTICAL to the Python path.
-
-    Returns: ``codes`` (int64 per occurrence, batch-local), ``dict`` (object
-    ndarray: batch-local code -> term string), ``doc_idx``, ``position``,
-    ``doc_len``.
+    word tokenizer) and no feature beyond ``pos`` is indexed; its output
+    equals ``flatten_batch``'s, codes and dictionary order included.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -456,22 +473,75 @@ def flatten_batch_arrow(analyzer: Analyzer, texts) -> dict[str, np.ndarray]:
     offsets = offsets - offsets[0]
     flat = pc.list_flatten(lists)
     mask = pc.not_equal(flat, "")  # split keeps empty edge pieces; drop them
-    mask_np = mask.to_numpy(zero_copy_only=False)
-    n_docs = len(lists)
-    counts_all = np.diff(offsets)
-    doc_idx_all = np.repeat(np.arange(n_docs, dtype=np.int64), counts_all)
-    kept = np.flatnonzero(mask_np)
-    doc_idx = doc_idx_all[kept]
-    doc_len = np.bincount(doc_idx, minlength=n_docs).astype(np.int64)
-    starts = np.zeros(n_docs, dtype=np.int64)
-    np.cumsum(doc_len[:-1], out=starts[1:])
-    position = np.arange(len(kept), dtype=np.int64) - np.repeat(starts, doc_len)
+    kept_before = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(mask.to_numpy(zero_copy_only=False), out=kept_before[1:])
+    doc_len = kept_before[offsets[1:]] - kept_before[offsets[:-1]]
     enc = pc.dictionary_encode(flat.filter(mask))
     enc = enc.combine_chunks() if isinstance(enc, pa.ChunkedArray) else enc
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     dict_np = np.asarray(enc.dictionary.to_pylist(), dtype=object)
-    return {"codes": codes, "dict": dict_np, "doc_idx": doc_idx,
-            "position": position, "doc_len": doc_len}
+    return _coded_batch(codes, dict_np, doc_len)
+
+
+# index feature -> (per-doc analyzer method returning the tokens followed
+# by one array per attribute, the attributes' (name, dtype))
+_FEATURE_ATTRS = {
+    "offs": ("tokens_with_offsets", (("start", np.int64), ("end", np.int64))),
+    "pay": ("tokens_with_payloads", (("payload", object),)),
+}
+
+
+def _flat_array(values: list, dtype=object) -> np.ndarray:
+    """1-D ``dtype`` array of ``values``; object by default, because a
+    fixed-width string dtype would strip trailing NULs."""
+    out = np.empty(len(values), dtype=dtype)
+    out[:] = values
+    return out
+
+
+def flatten_batch(analyzer: Analyzer, texts,
+                  features: tuple = ("pos",)) -> dict[str, np.ndarray]:
+    """Python tokenize: text batch (list or Arrow array) -> the coded form
+    (``_coded_batch``), for every analyzer.
+
+    ``features`` are the index features.  ``'offs'`` adds per-occurrence
+    char offsets into the original text (``start``/``end``, from
+    ``analyzer.tokens_with_offsets``); ``'pay'`` adds per-occurrence
+    payload bytes (``payload``, from ``analyzer.tokens_with_payloads``);
+    otherwise ``analyzer.tokenize_batch`` runs.  A null text is an empty
+    doc.  Terms are factorized per batch in first-occurrence order, like
+    Arrow ``dictionary_encode``; ``SegmentWriter.flush`` merges the batch
+    dictionaries into sorted global ranks.
+    """
+    from iresearch_ray.util import nul_safe_factorize
+
+    if hasattr(texts, "to_pylist"):
+        texts = texts.to_pylist()
+    wanted = [f for f in _FEATURE_ATTRS if f in features]
+    if len(wanted) > 1:
+        raise ValueError("offs+pay together are not supported yet — pick one")
+    attrs = {}
+    if wanted:
+        method, names = _FEATURE_ATTRS[wanted[0]]
+        per_doc = getattr(analyzer, method)
+        toks: list = []
+        values: list[list] = [[] for _ in names]
+        doc_len = np.zeros(len(texts), dtype=np.int64)
+        for i, t in enumerate(texts):
+            if t is None:
+                continue
+            doc_toks, *doc_values = per_doc(t)
+            doc_len[i] = len(doc_toks)
+            toks.extend(doc_toks)
+            for acc, v in zip(values, doc_values):
+                acc.extend(v)
+        attrs = {name: _flat_array(v, dtype)
+                 for (name, dtype), v in zip(names, values)}
+    else:
+        toks, doc_len = analyzer.tokenize_batch(texts)
+    codes, uniques = nul_safe_factorize(_flat_array(toks))
+    return _coded_batch(np.asarray(codes, dtype=np.int64),
+                        np.asarray(uniques, dtype=object), doc_len, **attrs)
 
 
 class PayloadDelimiterAnalyzer(Analyzer):
@@ -515,85 +585,3 @@ class PayloadDelimiterAnalyzer(Analyzer):
 
 register_analyzer("payload-delimiter",
                   lambda **o: PayloadDelimiterAnalyzer(**o))
-
-
-def flatten_batch_payloads(analyzer: Analyzer, texts: list[str]) -> dict[str, np.ndarray]:
-    """Like ``flatten_batch`` but also emits per-occurrence payload bytes
-    (the PAY index feature, reference formats_10.cpp .pay stream).
-    Requires ``analyzer.tokens_with_payloads``."""
-    toks_all: list[str] = []
-    pays_all: list[bytes] = []
-    counts = np.empty(len(texts), dtype=np.int64)
-    for i, t in enumerate(texts):
-        if t is None:
-            counts[i] = 0
-            continue
-        toks, pays = analyzer.tokens_with_payloads(t)
-        counts[i] = len(toks)
-        toks_all.extend(toks)
-        pays_all.extend(pays)
-    total = int(counts.sum())
-    doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    run_starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=run_starts[1:])
-    position = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-    terms = np.empty(total, dtype=object)
-    terms[:] = toks_all
-    payloads = np.empty(total, dtype=object)
-    payloads[:] = pays_all
-    return {"terms": terms, "doc_idx": doc_idx, "position": position,
-            "doc_len": counts, "payload": payloads}
-
-
-def flatten_batch_offsets(analyzer: Analyzer, texts: list[str]) -> dict[str, np.ndarray]:
-    """Like ``flatten_batch`` but also emits per-occurrence char offsets
-    into the ORIGINAL text (``start``/``end``) — the OFFS index feature
-    (reference token_attributes offset; formats_10.cpp .pay stream).
-    Requires ``analyzer.tokens_with_offsets``; slower than the coded path
-    (per-doc Python), which is the documented cost of requesting offsets."""
-    toks_all: list[str] = []
-    starts_l: list[np.ndarray] = []
-    ends_l: list[np.ndarray] = []
-    counts = np.empty(len(texts), dtype=np.int64)
-    for i, t in enumerate(texts):
-        if t is None:
-            counts[i] = 0
-            continue
-        toks, starts, ends = analyzer.tokens_with_offsets(t)
-        counts[i] = len(toks)
-        toks_all.extend(toks)
-        starts_l.append(starts)
-        ends_l.append(ends)
-    total = int(counts.sum())
-    doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    run_starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=run_starts[1:])
-    position = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-    terms = np.empty(total, dtype=object)
-    terms[:] = toks_all
-    return {"terms": terms, "doc_idx": doc_idx, "position": position,
-            "doc_len": counts,
-            "start": (np.concatenate(starts_l) if starts_l
-                      else np.empty(0, dtype=np.int64)),
-            "end": (np.concatenate(ends_l) if ends_l
-                    else np.empty(0, dtype=np.int64))}
-
-
-def flatten_batch(analyzer: Analyzer, texts: list[str]) -> dict[str, np.ndarray]:
-    """Tokenize a batch into flat postings-ready arrays.
-
-    Returns dict with:
-      - ``terms``:   object ndarray of token strings, one per occurrence
-      - ``doc_idx``: int64 ndarray, batch-local doc index per occurrence
-      - ``position``:int64 ndarray, token ordinal within its doc
-      - ``doc_len``: int64 ndarray per doc (len = n docs in batch)
-    """
-    flat, counts = analyzer.tokenize_batch(texts)
-    total = int(counts.sum())
-    doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    position = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    terms = np.empty(total, dtype=object)
-    terms[:] = flat
-    return {"terms": terms, "doc_idx": doc_idx, "position": position, "doc_len": counts}

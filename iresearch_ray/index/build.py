@@ -317,7 +317,6 @@ class BuildSegmentTask:
         writer = SegmentWriter(spec["segment_id"], self.analyzer.config(),
                                lineage, fmt=self.index_format,
                                norm_feature=self.norm_feature)
-        arrow_fast = getattr(self.analyzer, "arrow_split_pattern", None)
         import pyarrow as pa
 
         read_cols = list(dict.fromkeys(
@@ -341,30 +340,17 @@ class BuildSegmentTask:
                  "descending" if self.sort_descending else "ascending")])
             batches = whole.take(order).to_batches(
                 max_chunksize=TOKENIZE_BATCH_ROWS)
-        want_offs = "offs" in self.index_features
-        want_pay = "pay" in self.index_features
+        # one coded path: the Arrow kernels where the analyzer has a split
+        # pattern and no per-occurrence attribute is indexed, else Python
+        arrow = (getattr(self.analyzer, "arrow_split_pattern", None)
+                 and not {"offs", "pay"} & set(self.index_features))
         for rb in batches:
             keys = rb.column(self.key_column).cast(pa.string()).to_pylist()
-            if want_offs:
-                # offsets need per-doc tokens_with_offsets (no coded path)
-                from iresearch_ray.analysis.tokenizers import flatten_batch_offsets
-
-                texts = rb.column(self.text_column).to_pylist()
-                writer.add_batch(flatten_batch_offsets(self.analyzer, texts),
-                                 keys)
-            elif want_pay:
-                from iresearch_ray.analysis.tokenizers import flatten_batch_payloads
-
-                texts = rb.column(self.text_column).to_pylist()
-                writer.add_batch(flatten_batch_payloads(self.analyzer, texts),
-                                 keys)
-            elif arrow_fast:
-                writer.add_batch_coded(
-                    flatten_batch_arrow(self.analyzer, rb.column(self.text_column)),
-                    keys)
-            else:
-                texts = rb.column(self.text_column).to_pylist()
-                writer.add_batch(flatten_batch(self.analyzer, texts), keys)
+            texts = rb.column(self.text_column)
+            writer.add_batch_coded(
+                flatten_batch_arrow(self.analyzer, texts) if arrow
+                else flatten_batch(self.analyzer, texts, self.index_features),
+                keys)
             if self.store_columns:
                 writer.add_stored(pa.Table.from_batches([rb]).select(
                     list(self.store_columns)))

@@ -12,7 +12,9 @@ Parquet/JSON artifacts:
   reference core/index/segment_writer.hpp:282) -> key (url) + doc_len.
 - ``segment.json``    stats + lineage + counters (resume / checkpoint unit).
 
-Inversion is whole-segment vectorized: one factorize + one lexsort over all
+Inversion is whole-segment vectorized: every analyzer's batches arrive
+coded (int codes into a small per-batch term dictionary); flush merges the
+dictionaries into sorted global ranks and runs one stable sort over all
 token occurrences — the numpy equivalent of the reference's per-thread
 postings hash (core/index/postings.hpp:74-126), with terms flushed in byte
 order exactly like core/index/postings.cpp:36.
@@ -106,11 +108,13 @@ def analyzer_config_hash(config: dict) -> str:
 
 @dataclass
 class SegmentWriter:
-    """Accumulates tokenized batches for ONE segment, then flushes artifacts.
+    """Accumulates coded batches for ONE segment, then flushes artifacts.
 
     Bounded like the reference's segment buffer (segment_memory_max,
     index_writer.hpp:359-376): the caller sizes a segment via its input row
-    range; accumulation is flat int32/int64 arrays, ~20 bytes/token.
+    range; accumulation is flat int64 arrays plus each batch's small term
+    dictionary, ~24 bytes/token for every analyzer (OFFS adds 16, PAY one
+    bytes object per token).
     """
 
     segment_id: str
@@ -120,8 +124,7 @@ class SegmentWriter:
     norm_feature: str | None = None  # extra docmap column (index/features.py)
 
     def __post_init__(self):
-        self._term_chunks: list[np.ndarray] = []
-        self._code_chunks: list[np.ndarray] = []   # coded fast path
+        self._code_chunks: list[np.ndarray] = []
         self._dict_chunks: list[np.ndarray] = []
         self._doc_chunks: list[np.ndarray] = []
         self._pos_chunks: list[np.ndarray] = []
@@ -143,78 +146,54 @@ class SegmentWriter:
     def num_docs(self) -> int:
         return self._num_docs
 
-    def add_batch(self, flat: dict, keys) -> None:
-        """Add one tokenized batch (from analysis.flatten_batch) + doc keys."""
-        if self._code_chunks:
-            raise ValueError("cannot mix coded and object batches")
-        n = len(flat["doc_len"])
-        # densely assign 1-based segment-local doc ids in insertion order
-        self._term_chunks.append(flat["terms"])
-        self._doc_chunks.append(flat["doc_idx"] + (self._num_docs + 1))
-        self._pos_chunks.append(flat["position"])
-        if "start" in flat:  # OFFS feature: per-occurrence char offsets
-            self._off_start_chunks.append(flat["start"])
-            self._off_end_chunks.append(flat["end"])
-        if "payload" in flat:  # PAY feature: per-occurrence bytes
-            self._payload_chunks.append(flat["payload"])
-        self._doc_len_chunks.append(flat["doc_len"])
-        self._key_chunks.append(_np_keys(keys))
-        self._num_docs += n
-
     def add_batch_coded(self, flat: dict, keys) -> None:
-        """Add one CODED batch (from analysis.flatten_batch_arrow) + keys.
+        """Add one coded batch (``analysis.flatten_batch`` or
+        ``flatten_batch_arrow``) + its doc keys.
 
         Stores int codes + the batch's small term dictionary — no per-token
-        Python objects; the cross-batch dictionary merge happens at flush.
+        term objects; the cross-batch dictionary merge happens at flush.
+        Optional per-occurrence ``start``/``end`` (OFFS) and ``payload``
+        (PAY) arrays ride along in ``flat``.
         """
-        if self._term_chunks:
-            raise ValueError("cannot mix coded and object batches")
         n = len(flat["doc_len"])
         self._code_chunks.append(flat["codes"])
         self._dict_chunks.append(flat["dict"])
+        # densely assign 1-based segment-local doc ids in insertion order
         self._doc_chunks.append(flat["doc_idx"] + (self._num_docs + 1))
         self._pos_chunks.append(flat["position"])
+        if "start" in flat:
+            self._off_start_chunks.append(flat["start"])
+            self._off_end_chunks.append(flat["end"])
+        if "payload" in flat:
+            self._payload_chunks.append(flat["payload"])
         self._doc_len_chunks.append(flat["doc_len"])
         self._key_chunks.append(_np_keys(keys))
         self._num_docs += n
 
     def flush(self, out_dir: str) -> dict:
         """Invert + encode + atomically write artifacts; return segment meta."""
-        docs = (np.concatenate(self._doc_chunks) if self._doc_chunks
-                else np.empty(0, dtype=np.int64))
-        poss = (np.concatenate(self._pos_chunks) if self._pos_chunks
-                else np.empty(0, dtype=np.int64))
-        doc_lens = (np.concatenate(self._doc_len_chunks) if self._doc_len_chunks
-                    else np.empty(0, dtype=np.int64))
-        keys = (np.concatenate(self._key_chunks) if self._key_chunks
-                else np.empty(0, dtype=object))
+        def cat(chunks, dtype=np.int64):
+            return np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
 
-        if self._code_chunks:
-            # merge per-batch dictionaries (small) -> global sorted ranks,
-            # then remap each batch's codes through its slice of the mapping
-            all_dicts = np.concatenate(self._dict_chunks)
-            g_codes, uniques = nul_safe_factorize(all_dicts, sort=True)
-            remapped = []
-            off = 0
-            for codes, d in zip(self._code_chunks, self._dict_chunks):
-                remapped.append(g_codes[off + codes])
-                off += len(d)
-            codes = (np.concatenate(remapped) if remapped
-                     else np.empty(0, dtype=np.int64))
-            n_tokens = len(codes)
-            table = invert_coded(codes, np.asarray(uniques, dtype=object),
-                                 docs, poss)
-        else:
-            terms = (np.concatenate(self._term_chunks) if self._term_chunks
-                     else np.empty(0, dtype=object))
-            n_tokens = len(terms)
-            offs = None
-            if self._off_start_chunks:
-                offs = (np.concatenate(self._off_start_chunks),
-                        np.concatenate(self._off_end_chunks))
-            pays = (np.concatenate(self._payload_chunks)
-                    if self._payload_chunks else None)
-            table = invert_to_table(terms, docs, poss, offs=offs, pays=pays)
+        docs, poss = cat(self._doc_chunks), cat(self._pos_chunks)
+        doc_lens = cat(self._doc_len_chunks)
+        keys = cat(self._key_chunks, object)
+        # merge per-batch dictionaries (small) -> global sorted ranks,
+        # then remap each batch's codes through its slice of the mapping
+        g_codes, uniques = nul_safe_factorize(cat(self._dict_chunks, object),
+                                              sort=True)
+        remapped = []
+        off = 0
+        for codes, d in zip(self._code_chunks, self._dict_chunks):
+            remapped.append(g_codes[off + codes])
+            off += len(d)
+        codes = cat(remapped)
+        n_tokens = len(codes)
+        offs = ((cat(self._off_start_chunks), cat(self._off_end_chunks))
+                if self._off_start_chunks else None)
+        pays = cat(self._payload_chunks) if self._payload_chunks else None
+        table = invert_coded(codes, np.asarray(uniques, dtype=object),
+                             docs, poss, offs=offs, pays=pays)
         meta = {
             "format_version": FORMAT_VERSION,
             "format": self.fmt,
@@ -264,27 +243,16 @@ class SegmentWriter:
         return meta
 
 
-def invert_to_table(terms: np.ndarray, docs: np.ndarray, poss: np.ndarray,
-                    offs: tuple[np.ndarray, np.ndarray] | None = None,
-                    pays: np.ndarray | None = None) -> pa.Table:
-    """Build the term-dictionary table from flat (term, doc, position) rows.
-
-    One factorize + one stable sort; postings ordered by (term bytes, doc id,
-    position) — the doc-order invariant the reference enforces
-    (formats_10.cpp:823-828).  ``offs``: optional (start, end) char-offset
-    arrays aligned with occurrences (the OFFS index feature).
-    """
-    codes, uniques = nul_safe_factorize(terms, sort=True)
-    return invert_coded(codes, np.asarray(uniques, dtype=object), docs, poss,
-                        offs=offs, pays=pays)
-
-
 def invert_coded(codes: np.ndarray, sorted_uniques: np.ndarray,
                  docs: np.ndarray, poss: np.ndarray,
                  offs: tuple[np.ndarray, np.ndarray] | None = None,
                  pays: np.ndarray | None = None) -> pa.Table:
-    """Invert from pre-coded occurrences (codes are ranks into the SORTED
-    unique-term array) — the zero-object fast path's entry point."""
+    """Build the term-dictionary table from coded occurrences (codes are
+    ranks into the SORTED unique-term array) — the one invert every segment
+    flush runs.  Postings are ordered by (term, doc id, position), the
+    doc-order invariant the reference enforces (formats_10.cpp:823-828).
+    ``offs``: optional (start, end) char offsets, ``pays``: optional
+    payload bytes, both aligned with the occurrences."""
     uniques = sorted_uniques
     # one stable sort of one packed int64 key instead of a 3-array lexsort
     # (~1.5x): positions arrive ascending within each doc (tokens are

@@ -19,7 +19,7 @@ SPLIT_BUCKETS = 10_000
 
 def hash_split(ds, ratios=(0.98, 0.01, 0.01),
                names=("train", "valid", "test"),
-               id_column: str = "doc_id", hash: str = "stable",
+               id_column: str = "doc_id", hash: str | None = None,
                concurrency: int | None = None):
     """Deterministic corpus splits -> Dataset(id, split): bucket =
     hash(id) % 10000, assigned to ``names`` by cumulative ``ratios``.
@@ -40,10 +40,20 @@ def hash_split(ds, ratios=(0.98, 0.01, 0.01),
     draw DIFFERENT splits, so a corpus whose held-out assignment was
     minted under the old default must pin ``hash='md5'`` explicitly —
     re-running with the new default would move documents between splits
-    (the reshuffle this function exists to prevent).
+    (the reshuffle this function exists to prevent).  Omitting ``hash``
+    uses ``'stable'`` and emits a ``FutureWarning`` saying so.
     """
+    import warnings
+
     from iresearch_ray.analysis.minhash import stable_hash_strings
 
+    if hash is None:
+        warnings.warn(
+            "hash_split: no hash= given, using 'stable', which draws "
+            "different splits than the former 'md5' default; pass "
+            "hash='stable' or hash='md5' explicitly",
+            FutureWarning, stacklevel=2)
+        hash = "stable"
     if hash not in ("md5", "stable"):
         raise ValueError(f"unknown hash family {hash!r}")
     if len(ratios) != len(names):

@@ -22,20 +22,13 @@ def _coded_tokens(analyzer, col):
 
     Uses the zero-Python-object Arrow tokenize path (case fold + regex
     split + dictionary encode in Arrow C kernels) whenever the analyzer
-    supports it; otherwise tokenizes in Python and factorizes, so every
-    downstream stat is a vectorized bincount either way."""
-    if getattr(analyzer, "arrow_split_pattern", None):
-        out = flatten_batch_arrow(analyzer, col)
-        return out["codes"], out["dict"], out["doc_idx"], out["doc_len"]
-    out = flatten_batch(analyzer, col.to_pylist())
-    if len(out["terms"]):
-        codes, uniques = nul_safe_factorize(out["terms"])
-        codes = codes.astype(np.int64, copy=False)
-        dict_np = np.asarray(uniques, dtype=object)
-    else:
-        codes = np.empty(0, dtype=np.int64)
-        dict_np = np.empty(0, dtype=object)
-    return codes, dict_np, out["doc_idx"], out["doc_len"]
+    supports it, else the Python path; both return the same coded form,
+    so every downstream stat is a vectorized bincount either way."""
+    tokenize = (flatten_batch_arrow
+                if getattr(analyzer, "arrow_split_pattern", None)
+                else flatten_batch)
+    out = tokenize(analyzer, col)
+    return out["codes"], out["dict"], out["doc_idx"], out["doc_len"]
 
 
 def _dict_mask(dict_np: np.ndarray, vocab: frozenset) -> np.ndarray:

@@ -61,7 +61,7 @@ def test_normalize():
 def test_flatten_batch_positions():
     a = get_analyzer("ascii")
     flat = flatten_batch(a, ["x y x", "", "z"])
-    assert list(flat["terms"]) == ["x", "y", "x", "z"]
+    assert list(flat["dict"][flat["codes"]]) == ["x", "y", "x", "z"]
     assert list(flat["doc_idx"]) == [0, 0, 0, 2]
     assert list(flat["position"]) == [0, 1, 2, 0]
     assert list(flat["doc_len"]) == [3, 0, 1]

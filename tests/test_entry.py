@@ -236,3 +236,22 @@ def test_topk_adaptive_overfetch_on_ties(ray_session, tmp_path):
     allm = entrymod._topk(str(sf), TermFilter("same"), k=10, mode="all")
     assert list(top["doc_id"]) == list(allm["doc_id"]) == list(range(1, 11))
     assert np.array_equal(top["score"].to_numpy(), allm["score"].to_numpy())
+
+
+def test_rank_filter_empty_rank_set(ray_session, monkeypatch):
+    """A crawl with no ranked domain yields the empty doc_id frame (the
+    SQL twin's threshold CTE is empty, so it keeps no rows) instead of
+    an IndexError from the threshold pick."""
+    import pyarrow as pa
+    import ray
+
+    from iresearch_ray.pipelines import graph
+
+    empty = pa.table({"node": pa.array([], pa.string()),
+                      "rank_units": pa.array([], pa.int64()),
+                      "rank": pa.array([], pa.float64())})
+    monkeypatch.setattr(graph, "domain_rank",
+                        lambda docs, **kw: ray.data.from_arrow(empty))
+    out = QUERIES["rank_filter"](SF)
+    assert list(out.columns) == ["doc_id"]
+    assert len(out) == 0 and out["doc_id"].dtype == np.int64

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iresearch_ray.analysis import get_analyzer
+from iresearch_ray.analysis.tokenizers import flatten_batch
 from iresearch_ray.analysis.numeric import NumericAnalyzer, cover_term_ranges
 from iresearch_ray.index.manifest import commit as manifest_commit
 from iresearch_ray.index.segment import SegmentWriter
@@ -22,16 +23,8 @@ from iresearch_ray.search import (
 def _numeric_index(tmp_path, values):
     ana = NumericAnalyzer()
     w = SegmentWriter("seg-00000", ana.config())
-    flat, counts = ana.tokenize_batch(values)
-    total = int(counts.sum())
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    w.add_batch({
-        "terms": np.array(flat, dtype=object),
-        "doc_idx": np.repeat(np.arange(len(values), dtype=np.int64), counts),
-        "position": np.arange(total, dtype=np.int64) - np.repeat(starts, counts),
-        "doc_len": counts,
-    }, [str(i) for i in range(len(values))])
+    w.add_batch_coded(flatten_batch(ana, values),
+                      [str(i) for i in range(len(values))])
     meta = w.flush(str(tmp_path))
     manifest_commit(str(tmp_path), [{k: meta[k] for k in
                                      ("segment_id", "num_docs", "sum_doc_len", "num_terms")}])
@@ -67,8 +60,9 @@ def test_same_position(tmp_path):
     ana = get_analyzer("ascii")
     w = SegmentWriter("seg-00000", ana.config())
     # doc1: a@0 b@0 c@1 ; doc2: a@0 b@1
-    w.add_batch({
-        "terms": np.array(["a", "b", "c", "a", "b"], dtype=object),
+    w.add_batch_coded({
+        "codes": np.array([0, 1, 2, 0, 1]),
+        "dict": np.array(["a", "b", "c"], dtype=object),
         "doc_idx": np.array([0, 0, 0, 1, 1]),
         "position": np.array([0, 0, 1, 0, 1]),
         "doc_len": np.array([3, 2]),
@@ -88,9 +82,7 @@ def test_same_position(tmp_path):
 def test_proxy_filter_caches(tmp_path):
     ana = get_analyzer("ascii")
     w = SegmentWriter("seg-00000", ana.config())
-    from iresearch_ray.analysis.tokenizers import flatten_batch
-
-    w.add_batch(flatten_batch(ana, ["x y", "y z", "x"]), ["a", "b", "c"])
+    w.add_batch_coded(flatten_batch(ana, ["x y", "y z", "x"]), ["a", "b", "c"])
     meta = w.flush(str(tmp_path))
     manifest_commit(str(tmp_path), [{k: meta[k] for k in
                                      ("segment_id", "num_docs", "sum_doc_len", "num_terms")}])

@@ -1,5 +1,7 @@
 """Dedup / textstats / ANN / multimodal pipeline correctness on testdata."""
 
+import warnings
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -1564,20 +1566,30 @@ def test_hash_split_deterministic_and_proportional(ray_session):
 
     ds = ray.data.range(20000).map_batches(
         lambda b: {"doc_id": b["id"]}, batch_format="numpy")
-    out = curate.hash_split(ds, ratios=(0.8, 0.1, 0.1)).to_pandas()
+    # the default is 'stable', and omitting hash= says so at call time
+    with pytest.warns(FutureWarning, match="hash="):
+        out = curate.hash_split(ds, ratios=(0.8, 0.1, 0.1)).to_pandas()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        explicit = curate.hash_split(ds, ratios=(0.8, 0.1, 0.1),
+                                     hash="stable").to_pandas()
+        curate.hash_split(ds, hash="md5")
+    assert (explicit.set_index("doc_id")["split"].sort_index()
+            .equals(out.set_index("doc_id")["split"].sort_index()))
     frac = out["split"].value_counts(normalize=True)
     assert abs(frac["train"] - 0.8) < 0.02
     assert abs(frac["valid"] - 0.1) < 0.01
     assert abs(frac["test"] - 0.1) < 0.01
     # pure function of the id: a re-run and a differently-partitioned
     # run assign every doc identically
-    out2 = curate.hash_split(ds.repartition(7),
-                             ratios=(0.8, 0.1, 0.1)).to_pandas()
+    out2 = curate.hash_split(ds.repartition(7), ratios=(0.8, 0.1, 0.1),
+                             hash="stable").to_pandas()
     m = out.set_index("doc_id")["split"]
     m2 = out2.set_index("doc_id")["split"]
     assert m.sort_index().equals(m2.sort_index())
     with pytest.raises(ValueError):
-        curate.hash_split(ds, ratios=(0.5, 0.1))  # doesn't sum to 1
+        curate.hash_split(ds, ratios=(0.5, 0.1),
+                          hash="stable")  # doesn't sum to 1
 
 
 def test_url_canonicalize_rules(ray_session):

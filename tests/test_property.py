@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from iresearch_ray.index import codec
+from iresearch_ray.util import nul_safe_factorize
 
 
 @st.composite
@@ -84,10 +85,10 @@ def token_streams(draw):
 def test_invert_roundtrip_vs_bruteforce(stream):
     from collections import defaultdict
 
-    from iresearch_ray.index.segment import invert_to_table, _binary_array  # noqa: F401
+    from iresearch_ray.index.segment import invert_coded
 
     terms, docs, poss = stream
-    tbl = invert_to_table(terms, docs, poss)
+    tbl = invert_coded(*nul_safe_factorize(terms, sort=True), docs, poss)
     # brute-force postings
     want = defaultdict(lambda: defaultdict(list))
     for t, d, p in zip(terms, docs, poss):
@@ -147,21 +148,22 @@ def test_offsets_and_payload_encode_roundtrip(stream):
     hypothesis analogue of the formats .pay/.pos conformance suites."""
     from collections import defaultdict
 
-    from iresearch_ray.index.segment import invert_to_table
+    from iresearch_ray.index.segment import invert_coded
 
     terms, docs, poss, starts, ends, pays = stream
+    codes, uniques = nul_safe_factorize(terms, sort=True)
     want = defaultdict(lambda: defaultdict(list))
     for t, d, p, s, e, pl in zip(terms, docs, poss, starts, ends, pays):
         want[t][d].append((p, s, e, pl))
 
     for kind in ("offs", "pay"):
         if kind == "offs":
-            tbl = invert_to_table(terms.copy(), docs.copy(), poss.copy(),
-                                  offs=(starts.copy(), ends.copy()))
+            tbl = invert_coded(codes.copy(), uniques, docs.copy(),
+                               poss.copy(), offs=(starts.copy(), ends.copy()))
             scol, lcol = "offs_start_blob", "offs_len_blob"
         else:
-            tbl = invert_to_table(terms.copy(), docs.copy(), poss.copy(),
-                                  pays=pays.copy())
+            tbl = invert_coded(codes.copy(), uniques, docs.copy(),
+                               poss.copy(), pays=pays.copy())
             scol, lcol = "pay_size_blob", "pay_blob"
         assert list(tbl["term"].to_pylist()) == sorted(want)
         for row, t in enumerate(tbl["term"].to_pylist()):

@@ -462,7 +462,7 @@ def test_phrase_lru_caches_only_occurrence_keys(tmp_path):
     ana = get_analyzer("ascii")
     w = SegmentWriter("seg-00000", ana.config())
     texts = ["x y x y x y x y", "y x y x y x y x", "x x y y x x y y", "z"]
-    w.add_batch(flatten_batch(ana, texts), ["a", "b", "c", "d"])
+    w.add_batch_coded(flatten_batch(ana, texts), ["a", "b", "c", "d"])
     meta = w.flush(str(tmp_path))
     manifest_commit(str(tmp_path), [{k: meta[k] for k in (
         "segment_id", "num_docs", "sum_doc_len", "num_terms")}])

@@ -34,7 +34,7 @@ def built(tmp_path_factory):
     # feed in two batches to exercise doc-id continuation
     mid = len(texts) // 3
     for lo, hi in ((0, mid), (mid, len(texts))):
-        w.add_batch(flatten_batch(ana, texts[lo:hi]), keys[lo:hi])
+        w.add_batch_coded(flatten_batch(ana, texts[lo:hi]), keys[lo:hi])
     meta = w.flush(idx_dir)
     return idx_dir, meta, oracle
 
@@ -103,6 +103,58 @@ def test_lookup_and_ranges(built):
     assert [t for t in r.terms[lo:hi]] == [t for t in oracle.sorted_terms() if t.startswith("w00")]
     lo, hi = r.term_range("w0010", "w0020")
     assert all("w0010" <= t < "w0020" for t in r.terms[lo:hi])
+
+
+def test_arrow_and_python_tokenize_paths_write_identical_segments(
+        tmp_path, monkeypatch):
+    """The Arrow tokenize path and ``flatten_batch`` must write the same
+    bytes: one ascii corpus (mixed case, punctuation, NULs, null and
+    empty rows, an all-null batch, many batches so the per-batch
+    dictionaries merge at flush) built twice through ``build_one``, the
+    second time with ``arrow_split_pattern`` cleared on the analyzer."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.index import build as build_mod
+
+    texts = [t.upper() if i % 3 == 0 else t
+             for i, t in enumerate(_zipf_texts(n_docs=400))]
+    texts[5] = "Foo, BAR!\x00baz\tfoo-bar 42 ÉTÉ été"
+    texts[7] = ""
+    texts[64:128] = [None] * 64          # one whole tokenize batch
+    texts[200] = None
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(pa.table({
+        "url": [f"u{i:04d}" for i in range(len(texts))],
+        "text": pa.array(texts, pa.string())}), path)
+    monkeypatch.setattr(build_mod, "TOKENIZE_BATCH_ROWS", 64)
+    arrow_calls = []
+    arrow_fn = build_mod.flatten_batch_arrow
+    monkeypatch.setattr(build_mod, "flatten_batch_arrow",
+                        lambda *a: arrow_calls.append(1) or arrow_fn(*a))
+
+    def build(name, arrow):
+        task = build_mod.BuildSegmentTask(str(tmp_path / name), "ascii", {},
+                                          "text", "url")
+        if not arrow:
+            task.analyzer.arrow_split_pattern = None
+        n_before = len(arrow_calls)
+        spec, = build_mod.plan_segments(path, target_docs=len(texts))
+        meta = task.build_one(spec)
+        assert (len(arrow_calls) > n_before) == arrow
+        return str(tmp_path / name / spec["segment_id"]), meta
+
+    seg_a, meta_a = build("arrow", True)
+    seg_p, meta_p = build("python", False)
+    for name in ("terms.parquet", "docmap.parquet"):
+        with open(os.path.join(seg_a, name), "rb") as fa, \
+                open(os.path.join(seg_p, name), "rb") as fp:
+            assert fa.read() == fp.read(), name
+    assert {k: v for k, v in meta_a.items() if k != "_wall_s"} == \
+        {k: v for k, v in meta_p.items() if k != "_wall_s"}
+    assert meta_a["num_terms"] > 100
 
 
 def test_sorted_index_build(ray_session, tmp_path_factory):
@@ -356,7 +408,7 @@ def test_nul_and_overlong_terms_exact(tmp_path):
              "pre\U0010FFFFx|pre\U0010FFFF|prefix"]
     keys = ["k", "k\x00"]
     w = SegmentWriter("seg-000", ana.config())
-    w.add_batch(flatten_batch(ana, texts), keys)
+    w.add_batch_coded(flatten_batch(ana, texts), keys)
     idx_dir = str(tmp_path)
     w.flush(idx_dir)
     r = SegmentReader(f"{idx_dir}/seg-000")
