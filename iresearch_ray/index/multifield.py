@@ -24,6 +24,7 @@ import os
 import pandas as pd
 
 from iresearch_ray.index.build import build_index
+from iresearch_ray.search.distributed import DistributedSearcher
 from iresearch_ray.search.executor import IndexReader, IndexSearcher
 from iresearch_ray.search.filters import Filter, Prepared
 
@@ -235,9 +236,9 @@ def _make_multifield_group_actor():
         the same-id segment of every field, so cross-field booleans and
         Fielded routing work exactly as in the local MultiFieldReader
         (state rebuilt from plain ctor args on restart).  Collect/execute
-        logic lives in GroupSearchCore; the hooks below swap the mask
-        guard for Fielded routing (this path refuses masked manifests at
-        construction, so raw results pass through unmasked)."""
+        logic lives in GroupSearchCore, whose loop routes Fielded nodes
+        to these views; the views carry no masks (this path refuses
+        masked manifests at construction)."""
 
         def __init__(self, index_dir: str, field_dirs: dict,
                      default_field: str, segment_entries, stats_by_field):
@@ -263,22 +264,10 @@ def _make_multifield_group_actor():
                 raise KeyError(f"unknown field {name!r}; "
                                f"known: {sorted(self.views)}") from None
 
-        def _wand_route(self, prep, seg):
-            return prep.route(seg)
-
-        def _union_children_wandable(self, node, eseg) -> bool:
-            from iresearch_ray.search.filters import _PreparedTerm
-
-            return all(isinstance(c.route(eseg)[0], _PreparedTerm)
-                       for c in node.children)
-
-        def _apply_mask(self, seg, raw):
-            return raw
-
     return MultiFieldGroupSearcher
 
 
-class MultiFieldDistributedSearcher:
+class MultiFieldDistributedSearcher(DistributedSearcher):
     """Distributed top-k over a multi-field index: segment-group actors
     hold every field's aligned segments; the df collect round keys
     field-routed stats with a field prefix so rankings match the local
@@ -286,8 +275,6 @@ class MultiFieldDistributedSearcher:
 
     def __init__(self, index_dir: str, num_groups: int | None = None,
                  default_field: str | None = None, scorer=None):
-        import ray
-
         from iresearch_ray.index import manifest as manifest_mod
         from iresearch_ray.search.scorers import BM25
 
@@ -328,19 +315,6 @@ class MultiFieldDistributedSearcher:
                        for g in plan_groups(entries, num_groups)]
 
     def search(self, flt, k: int = 10, mode: str = "all") -> pd.DataFrame:
-        from iresearch_ray.search.distributed_core import (
-            collect_df_map,
-            distributed_topk,
-        )
-
         if not isinstance(flt, Fielded) and not _has_fielded(flt):
             flt = Fielded(self.default_field, flt)
-        df_map = collect_df_map(self.actors, flt)
-        return distributed_topk(self.actors, flt, self.scorer, df_map, k, mode)
-
-    def close(self):
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        return super().search(flt, k=k, mode=mode)

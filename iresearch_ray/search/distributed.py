@@ -39,11 +39,9 @@ def _make_group_actor():
         # segment artifacts — a crashed actor rebuilds its readers and
         # replays the failed call (reference: stateless readers over
         # mmap'd segments survive process restarts the same way)
-        """Holds SegmentReaders for one group of segments (state cached
-        across queries — the reference's long-lived reader + caches).
-        Collect/execute logic lives in GroupSearchCore; the default hooks
-        already do the single-field thing (WAND only on unmasked
-        segments, apply_mask after execute)."""
+        """Holds SegmentReaders (and doc masks) for one group of segments
+        (state cached across queries — the reference's long-lived reader
+        + caches).  Collect/execute logic lives in GroupSearchCore."""
 
         def __init__(self, index_dir: str, segment_entries, field_stats):
             from iresearch_ray.index.delete import load_mask
@@ -94,7 +92,9 @@ class DistributedSearcher:
             collect_df_map,
             distributed_topk,
         )
+        from iresearch_ray.search.executor import check_topk_args
 
+        check_topk_args(k, mode)  # before the df collect round
         df_map = collect_df_map(self.actors, flt)
         return distributed_topk(self.actors, flt, self.scorer, df_map, k, mode)
 

@@ -3,11 +3,12 @@
 Both serving paths are the same machine — df collect with per-actor
 max-merge, pilot-wave WAND threshold sharing, bounded k-rows-per-group
 merges (reference term_collector + score_threshold feedback,
-core/search/bm25.cpp:250-256, utils/index-search.cpp:701-740) — and
-diverge only in how a prepared filter routes to a segment (masks on the
-single-field path, per-field sub-segments on the multi-field path).
-`GroupSearchCore` holds the per-actor logic with two overridable hooks;
-the driver helpers hold the collect/merge halves.
+core/search/bm25.cpp:250-256, utils/index-search.cpp:701-740).  Each
+actor runs the local searcher's own top-k loop (``executor.collect_topk``)
+over its group of segments, so routing (field-bound sub-segments) and
+the mask guard on WAND are decided in one place for every path.
+`GroupSearchCore` holds the per-actor logic; the driver helpers hold the
+collect/merge halves.
 """
 
 from __future__ import annotations
@@ -15,28 +16,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from iresearch_ray.search.executor import (
+    _kth_floor,
+    _topk_rows,
+    collect_topk,
+    hits_frame,
+)
+
 
 class GroupSearchCore:
-    """Actor-side logic for one group of segments.
-
-    Subclasses set ``self.segments`` / ``self.stats`` in ``__init__`` and
-    may override ``_wand_route`` (filter node + segment eligible for WAND,
-    or ``(prep, None)`` to force the dense path) and ``_apply_mask``.
-    """
-
-    # ---- hooks -----------------------------------------------------
-    def _wand_route(self, prep, seg):
-        """(node, eseg): the prepared node and segment WAND may run over,
-        or eseg=None when only the dense execute path is safe."""
-        return prep, (seg if seg.mask is None else None)
-
-    def _union_children_wandable(self, node, eseg) -> bool:
-        from iresearch_ray.search.filters import _PreparedTerm
-
-        return all(isinstance(c, _PreparedTerm) for c in node.children)
-
-    def _apply_mask(self, seg, raw):
-        return seg.apply_mask(*raw)
+    """Actor-side logic for one group of segments.  Subclasses set
+    ``self.segments`` / ``self.stats`` in ``__init__``."""
 
     # ---- collect ---------------------------------------------------
     def expand_dfs(self, flt) -> dict:
@@ -58,62 +48,12 @@ class GroupSearchCore:
     # ---- execute ---------------------------------------------------
     def execute_topk(self, flt, scorer, df_map: dict, k: int,
                      mode: str = "all", threshold: float = float("-inf")):
-        """``mode='top'`` + a driver-supplied score threshold: block-max
-        WAND pruning inside the actor, with the threshold tightening
-        across this group's segments — the reference's cross-segment
-        score_threshold feedback stretched over actors.  WAND never runs
-        where ``_wand_route`` withholds the segment (masked docs must not
-        establish pruning thresholds)."""
-        from iresearch_ray.search.executor import _wand_term, _wand_union
-        from iresearch_ray.search.filters import _PreparedTerm, _PreparedUnion
-
+        """This group's top-k by (-score, doc) as (global docs, float64
+        scores, keys): at most k rows per GROUP cross the wire.
+        ``mode='top'`` prunes with block-max WAND from the driver-supplied
+        ``threshold``, tightening it across this group's segments."""
         prep = flt.prepare(self, scorer, df_map=df_map)
-        docs_l, scores_l, keys_l = [], [], []
-        kept = 0
-        for seg in self.segments:
-            node, eseg = self._wand_route(prep, seg)
-            if (mode == "top" and isinstance(node, _PreparedTerm)
-                    and eseg is not None):
-                raw = _wand_term(node, eseg, k, threshold)
-            elif (mode == "top" and isinstance(node, _PreparedUnion)
-                    and eseg is not None
-                    and self._union_children_wandable(node, eseg)):
-                raw = _wand_union(node, eseg, threshold)
-            else:
-                raw = prep.execute(seg)
-            docs, scores = self._apply_mask(seg, raw)
-            if not len(docs):
-                continue
-            kept += len(docs)
-            if mode == "top" and kept >= k and len(scores):
-                all_s = np.concatenate(scores_l + [scores]) \
-                    if scores_l else scores
-                if len(all_s) >= k:
-                    threshold = max(threshold, float(np.nextafter(
-                        np.partition(all_s, len(all_s) - k)[len(all_s) - k],
-                        -np.inf)))
-            if len(docs) > k:  # tie-exact pre-trim (see executor)
-                kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-                cand = np.flatnonzero(scores >= kth)
-                sel = cand[np.lexsort((docs[cand], -scores[cand]))[:k]]
-                docs, scores = docs[sel], scores[sel]
-            keys_l.append(seg.reader.keys[docs - 1])
-            docs_l.append(docs + seg.base)
-            scores_l.append(scores)
-        if not docs_l:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64), [])
-        docs = np.concatenate(docs_l)
-        scores = np.concatenate(scores_l).astype(np.float64)
-        keys = np.concatenate(keys_l)
-        if len(docs) > k:
-            # group-level trim: the driver merge orders by (-score, doc),
-            # so each group's own top-k by that exact order is all it can
-            # contribute — k rows per GROUP cross the wire, not k per
-            # segment (docs are already global here)
-            sel = np.lexsort((docs, -scores))[:k]
-            docs, scores, keys = docs[sel], scores[sel], keys[sel]
-        return docs, scores, list(keys)
+        return collect_topk(prep, self.segments, k, mode, threshold)
 
 
 # -------------------------------------------------- driver-side halves ----
@@ -165,15 +105,10 @@ def distributed_topk(actors, flt, scorer, df_map: dict, k: int,
     id at the merge are never pruned) prunes the remaining groups."""
     import ray
 
-    if not actors:  # empty index -> empty frame, like the local searcher
-        return pd.DataFrame({"doc": np.empty(0, dtype=np.int64),
-                             "key": pd.Series([], dtype=object),
-                             "score": np.empty(0, dtype=np.float64)})
     if mode == "top" and len(actors) > 1:
         pilot = ray.get(actors[0].execute_topk.remote(
             flt, scorer, df_map, k, "top"))
-        thr = (float(np.nextafter(np.sort(pilot[1])[-k], -np.inf))
-               if len(pilot[1]) >= k else float("-inf"))
+        thr = _kth_floor(pilot[1], k, float("-inf"))
         rest = ray.get([a.execute_topk.remote(flt, scorer, df_map,
                                               k, "top", thr)
                         for a in actors[1:]])
@@ -182,12 +117,9 @@ def distributed_topk(actors, flt, scorer, df_map: dict, k: int,
         results = ray.get([a.execute_topk.remote(flt, scorer, df_map,
                                                  k, mode)
                            for a in actors])
-    docs = np.concatenate([r[0] for r in results])
-    scores = np.concatenate([r[1] for r in results])
+    # an empty index has no actors -> the empty frame, like the local one
+    docs = np.concatenate([np.empty(0, np.int64)] + [r[0] for r in results])
+    scores = np.concatenate([np.empty(0)] + [r[1] for r in results])
     keys = [k_ for r in results for k_ in r[2]]
-    if not len(docs):
-        return pd.DataFrame({"doc": docs, "key": keys, "score": scores})
-    order = np.lexsort((docs, -scores))[:k]
-    return pd.DataFrame({"doc": docs[order],
-                         "key": [keys[i] for i in order],
-                         "score": scores[order]})
+    sel = _topk_rows(docs, scores, k)
+    return hits_frame(docs[sel], scores[sel], [keys[i] for i in sel])

@@ -141,62 +141,97 @@ class IndexSearcher:
         """Top-k over all segments -> DataFrame(doc, key, score), sorted by
         (-score, doc)."""
         prep = flt.prepare(self.reader, self.scorer)
-        cand_docs: list[np.ndarray] = []
-        cand_scores: list[np.ndarray] = []
-        threshold = -np.inf
-        for seg in self.reader.segments:
-            # field-bound wrappers re-route to their own sub-index's
-            # aligned segment so WAND prunes with that field's block-max
-            node, eseg = prep.route(seg)
-            if (mode == "top" and isinstance(node, _PreparedTerm)
-                    and eseg is not None and seg.mask is None
-                    and eseg.mask is None):  # masked scores must not prune
-                docs, scores = _wand_term(node, eseg, k, threshold)
-            elif (mode == "top" and isinstance(node, _PreparedUnion)
-                    and eseg is not None and seg.mask is None
-                    and all(isinstance(c.route(eseg)[0], _PreparedTerm)
-                            and (c.route(eseg)[1] is None
-                                 or c.route(eseg)[1].mask is None)
-                            for c in node.children)):
-                docs, scores = _wand_union(node, eseg, threshold)
-            else:
-                docs, scores = prep.execute(seg)
-            docs, scores = seg.apply_mask(docs, scores)
-            if not len(docs):
-                continue
-            if len(docs) > k:  # per-segment pre-trim (tie-exact: keep ALL
-                # docs tied with the k-th score, then cut by (score, doc))
-                kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-                cand = np.flatnonzero(scores >= kth)
-                sel = cand[np.lexsort((docs[cand], -scores[cand]))[:k]]
-                docs, scores = docs[sel], scores[sel]
-            cand_docs.append(docs + seg.base)
-            cand_scores.append(scores)
-            all_s = np.concatenate(cand_scores)
-            if len(all_s) >= k:
-                # one ulp below the k-th score: docs TIED with the k-th must
-                # not be pruned (the final merge breaks ties by doc id)
-                threshold = float(np.nextafter(
-                    np.partition(all_s, len(all_s) - k)[len(all_s) - k],
-                    -np.inf))
-        if not cand_docs:
-            return pd.DataFrame({"doc": np.empty(0, dtype=np.int64),
-                                 "key": pd.Series([], dtype=object),
-                                 "score": np.empty(0, dtype=np.float64)})
-        docs = np.concatenate(cand_docs)
-        scores = np.concatenate(cand_scores)
-        order = np.lexsort((docs, -scores))[:k]
-        docs, scores = docs[order], scores[order]
-        # vectorized global-doc -> key: one searchsorted over segment bases
-        segs = self.reader.segments
-        bases = np.array([s.base for s in segs], dtype=np.int64)
-        # segment i owns global docs (base, base+num]; doc-1 lands in
-        # [base, base+num) so side='right' picks the owner exactly
-        at = np.searchsorted(bases, docs - 1, side="right") - 1
-        keys = [segs[a].reader.keys[d - bases[a] - 1]
-                for a, d in zip(at, docs)]
-        return pd.DataFrame({"doc": docs, "key": keys,
-                             "score": scores.astype(np.float64)})
+        return hits_frame(*collect_topk(prep, self.reader.segments, k, mode))
+
+
+def hits_frame(docs, scores, keys) -> pd.DataFrame:
+    """The (doc, key, score) frame every searcher returns, with int64 /
+    object / float64 columns also when empty."""
+    return pd.DataFrame({"doc": np.asarray(docs, dtype=np.int64),
+                         "key": pd.Series(list(keys), dtype=object),
+                         "score": np.asarray(scores, dtype=np.float64)})
+
+
+def check_topk_args(k: int, mode: str) -> None:
+    """Reject what no top-k search can serve, naming the argument."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+    if mode not in ("all", "top"):
+        raise ValueError(f"mode must be 'all' or 'top', got {mode!r}")
+
+
+def _topk_rows(docs: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Row indices of the k best hits ordered by (-score, doc).  Tie-exact:
+    partition at the k-th score, keep EVERY row tied with it, and lexsort
+    only those (argpartition alone keeps arbitrary ties)."""
+    cand = np.arange(len(scores))
+    if len(scores) > k:
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        cand = np.flatnonzero(scores >= kth)
+    return cand[np.lexsort((docs[cand], -scores[cand]))[:k]]
+
+
+def _kth_floor(scores: np.ndarray, k: int, threshold: float) -> float:
+    """Raise ``threshold`` to one ulp below the k-th largest score (kept
+    as is with fewer than k scores).  One ulp down so that docs TIED with
+    the k-th are never pruned: the final selection breaks ties by doc."""
+    if len(scores) < k:
+        return threshold
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    return max(threshold, float(np.nextafter(kth, -np.inf)))
+
+
+def collect_topk(prep, segments, k: int, mode: str = "all",
+                 threshold: float = -np.inf):
+    """The one per-query top-k loop (utils/index-search.cpp:646-748), run
+    by ``IndexSearcher.search`` over the whole index and by every
+    segment-group actor over its group.  Per segment: route, WAND or the
+    exhaustive execute, mask, then merge into a buffer of the <= k best
+    rows by (-score, doc).  ``mode='top'`` feeds the buffer's k-th score
+    back to the WAND kernels as the pruning threshold (the reference's
+    score_threshold), starting from ``threshold`` (a pilot group's, on
+    the distributed path).  Returns (global docs, float64 scores, keys)
+    in that order; keys are resolved for the final rows only."""
+    check_topk_args(k, mode)
+    top_docs = top_scores = None
+    for seg in segments:
+        # field-bound wrappers re-route to their own sub-index's aligned
+        # segment so WAND prunes with that field's block-max; masked
+        # scores must not set a threshold, so WAND runs only where the
+        # segment and every segment it routes to are unmasked
+        node, eseg = prep.route(seg)
+        raw = None
+        if (mode == "top" and eseg is not None and seg.mask is None
+                and eseg.mask is None):
+            if isinstance(node, _PreparedTerm):
+                raw = _wand_term(node, eseg, k, threshold)
+            elif isinstance(node, _PreparedUnion) and all(
+                    isinstance(cn, _PreparedTerm)
+                    and (cs is None or cs.mask is None)
+                    for cn, cs in (c.route(eseg) for c in node.children)):
+                raw = _wand_union(node, eseg, threshold)
+        if raw is None:
+            raw = prep.execute(seg)
+        docs, scores = seg.apply_mask(*raw)
+        if not len(docs):
+            continue
+        docs = docs + seg.base
+        if top_docs is not None:
+            docs = np.concatenate([top_docs, docs])
+            scores = np.concatenate([top_scores, scores])
+        sel = _topk_rows(docs, scores, k)
+        top_docs, top_scores = docs[sel], scores[sel]
+        if mode == "top":
+            threshold = _kth_floor(top_scores, k, threshold)
+    if top_docs is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), []
+    # segment i owns global docs (base, end]: the first end >= doc
+    ends = np.array([s.base + s.reader.num_docs for s in segments])
+    at = np.searchsorted(ends, top_docs, side="left")
+    keys = [segments[a].reader.keys[d - segments[a].base - 1]
+            for a, d in zip(at, top_docs)]
+    return (top_docs.astype(np.int64, copy=False),
+            top_scores.astype(np.float64), keys)
 
 
 def _block_ub(node, cseg, i: int) -> np.ndarray | None:
@@ -440,10 +475,7 @@ def _wand_term(prep: _PreparedTerm, seg: SegmentView, k: int,
         out_scores.append(scores)
         kept += len(docs)
         if kept >= k:
-            all_s = np.concatenate(out_scores)
-            threshold = max(threshold, float(np.nextafter(
-                np.partition(all_s, len(all_s) - k)[len(all_s) - k],
-                -np.inf)))
+            threshold = _kth_floor(np.concatenate(out_scores), k, threshold)
     if not out_docs:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype)
     docs = np.concatenate(out_docs)
@@ -491,9 +523,7 @@ def more_like_this(searcher: IndexSearcher, seed_text: str,
 
     terms = mlt_terms(searcher.reader, seed_text, n_terms, analyzer)
     if not terms:
-        return pd.DataFrame({"doc": pd.Series([], dtype=np.int64),
-                             "key": pd.Series([], dtype=object),
-                             "score": pd.Series([], dtype=np.float64)})
+        return hits_frame((), (), ())
     flt = OrFilter([TermFilter(t) for t in terms], min_match=1)
     excl = set(exclude_keys)
     out = searcher.search(flt, k=k + len(excl), mode="all")

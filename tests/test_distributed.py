@@ -32,6 +32,51 @@ def dist(ray_session, tmp_path_factory):
     d.close()
 
 
+def test_distributed_masked_index_equals_local(ray_session, tmp_path):
+    """Deleted docs are masked on the actors exactly as locally, and a
+    masked segment never runs WAND: its masked top docs would otherwise
+    set a threshold that prunes the live docs below them.  Runs before the
+    module's ``dist`` pool exists, so its own actors get free CPUs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.index.delete import delete_by_filter
+
+    # two 1,280-doc segments of ~100-token docs, so scores order by the
+    # freq of "w": segment 1 sets a threshold from its freq-5 docs;
+    # segment 2's first block (freq 60) is deleted, its second (freq 10)
+    # must still win — its block bound is below a freq-60 score, so a
+    # threshold taken from the deleted block would prune it
+    freqs = [5 if i < 20 else 1 for i in range(1280)]
+    freqs += [60] * 128 + [10] * 128 + [1] * 1024
+    texts = [" ".join(["w"] * f + ["v"] * (i % 3 == 0)
+                      + ["x"] * (100 - f) + ["gone"] * (f == 60))
+             for i, f in enumerate(freqs)]
+    path = str(tmp_path / "p.parquet")
+    pq.write_table(pa.table({"url": [f"u{i:05d}" for i in range(2560)],
+                             "text": texts}), path, row_group_size=1280)
+    idx = str(tmp_path / "idx")
+    build_index(path, idx, analyzer="ascii", target_docs=1280)
+    man = delete_by_filter(idx, TermFilter("gone"))
+    assert [bool(s.get("docmask")) for s in man["segments"]] == [False, True]
+    local = IndexSearcher(IndexReader(idx), BM25())
+    flts = {"term": lambda: TermFilter("w"),
+            "union": lambda: OrFilter([TermFilter("w"), TermFilter("v")])}
+    for groups in (1, 3):
+        d = DistributedSearcher(idx, num_groups=groups)
+        for name, make in flts.items():
+            want = local.search(make(), k=10, mode="all")
+            assert want["doc"].min() > 1280 + 128, name  # freq-10 docs win
+            for mode in ("all", "top"):
+                for got in (d.search(make(), k=10, mode=mode),
+                            local.search(make(), k=10, mode=mode)):
+                    assert list(got["doc"]) == list(want["doc"]), (name, mode)
+                    assert list(got["key"]) == list(want["key"]), (name, mode)
+                    assert np.array_equal(got["score"].to_numpy(),
+                                          want["score"].to_numpy())
+        d.close()
+
+
 @pytest.mark.parametrize("name,make", [
     ("term", lambda: TermFilter("hterm")),
     ("and", lambda: AndFilter([TermFilter("hterm"), TermFilter("mterm")])),
@@ -200,3 +245,4 @@ def test_group_result_bounded_to_k(dist):
     for a in d.actors:
         r = _ray.get(a.execute_topk.remote(flt, d.scorer, df_map, 7, "all"))
         assert len(r[0]) <= 7
+

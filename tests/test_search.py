@@ -22,6 +22,7 @@ from iresearch_ray.search import (
     TermsFilter,
     WildcardFilter,
 )
+from iresearch_ray.search.distributed import DistributedSearcher
 from iresearch_ray.sources.pages import synthesize_pages, write_pages
 from tests.oracle import OracleIndex
 
@@ -360,12 +361,32 @@ def test_topk_tie_break_prefers_lower_doc(ray_session, tmp_path_factory):
     pq.write_table(t, path, row_group_size=40)
     idx = str(base / "idx")
     build_index(path, idx, analyzer="ascii", target_docs=60)
-    s = IndexSearcher(IndexReader(idx), BM25())
-    for k in (1, 5, 17, 60):
-        res = s.search(TermFilter("tie"), k=k)
-        assert list(res["doc"]) == list(range(1, k + 1))  # lowest ids win
-        res_t = s.search(TermFilter("tie"), k=k, mode="top")
-        assert list(res_t["doc"]) == list(range(1, k + 1))
+    # one segment per actor group: the ties cross the group merge
+    dist = DistributedSearcher(idx, num_groups=2)
+    for s in (IndexSearcher(IndexReader(idx), BM25()), dist):
+        for k in (1, 5, 17, 60):
+            res = s.search(TermFilter("tie"), k=k)
+            assert list(res["doc"]) == list(range(1, k + 1))  # lowest ids win
+            res_t = s.search(TermFilter("tie"), k=k, mode="top")
+            assert list(res_t["doc"]) == list(range(1, k + 1))
+    dist.close()
+
+
+def test_degenerate_k_and_mode_rejected(index):
+    """k < 1 and an unknown mode raise a ValueError naming the argument,
+    on the local and the distributed searcher alike (k=0 used to surface
+    numpy's 'kth out of bounds'; mode='wand' silently ran exhaustively)."""
+    reader, _ = index
+    dist = DistributedSearcher(reader.index_dir, num_groups=2)
+    for s in (IndexSearcher(reader, BM25()), dist):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                s.search(TermFilter("hterm"), k=k)
+        for mode in ("wand", "TOP"):
+            with pytest.raises(ValueError, match="mode must be 'all' or 'top'"):
+                s.search(TermFilter("hterm"), k=10, mode=mode)
+        assert len(s.search(TermFilter("hterm"), k=1, mode="top")) == 1
+    dist.close()
 
 
 def test_empty_filter(index):
