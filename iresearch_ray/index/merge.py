@@ -42,16 +42,16 @@ from iresearch_ray.index.segment import (
 )
 
 
-def _column_blob(tbl: pa.Table, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(concatenated bytes, per-row byte offsets) of a large_binary column."""
-    col = tbl[name].combine_chunks()
+def _column_blob(reader: SegmentReader, name: str) -> np.ndarray:
+    """Concatenated bytes of one large_binary ``terms.parquet`` column."""
+    col = reader.terms_column(name).combine_chunks()
     if col.offset != 0:
         col = pa.concat_arrays([col])  # force re-layout at offset 0
     bufs = col.buffers()
     offs = np.frombuffer(bufs[1], dtype=np.int64)[: len(col) + 1]
     data = (np.frombuffer(bufs[2], dtype=np.uint8)[: offs[-1]]
             if bufs[2] is not None else np.empty(0, dtype=np.uint8))
-    return data, offs
+    return data
 
 
 def decode_segment_full(reader: SegmentReader) -> dict:
@@ -66,24 +66,23 @@ def decode_segment_full(reader: SegmentReader) -> dict:
     reference merges all index features through the same doc-id remap,
     merge_writer.cpp:1116-1174).
     """
-    tbl = reader.terms_table
-    df = tbl["df"].to_numpy().astype(np.int64)
+    df = reader.df_array().astype(np.int64)
     n_post = int(df.sum())
     term_offs = np.zeros(len(df) + 1, dtype=np.int64)
     np.cumsum(df, out=term_offs[1:])
 
-    doc_blob, _ = _column_blob(tbl, "doc_blob")
+    doc_blob = _column_blob(reader, "doc_blob")
     deltas = codec.varint_decode(doc_blob).astype(np.int64)
     assert len(deltas) == n_post, (len(deltas), n_post)
     glob = np.cumsum(deltas)
     prior = np.r_[0, glob][term_offs[:-1]]
     p_docs = glob - np.repeat(prior, df)
 
-    freq_blob, _ = _column_blob(tbl, "freq_blob")
+    freq_blob = _column_blob(reader, "freq_blob")
     freqs = codec.varint_decode(freq_blob).astype(np.int64)
     assert len(freqs) == n_post
 
-    pos_blob, _ = _column_blob(tbl, "pos_blob")
+    pos_blob = _column_blob(reader, "pos_blob")
     pos_deltas = codec.varint_decode(pos_blob).astype(np.int64)
     posting_offs = np.zeros(n_post + 1, dtype=np.int64)
     np.cumsum(freqs, out=posting_offs[1:])
@@ -91,24 +90,24 @@ def decode_segment_full(reader: SegmentReader) -> dict:
     pprior = np.r_[0, pglob][posting_offs[:-1]]
     poss = pglob - np.repeat(pprior, freqs)
 
-    out = {"terms": np.asarray(tbl["term"].to_pylist(), dtype=object), "df": df,
+    out = {"terms": reader.terms, "df": df,
            "p_docs": p_docs, "freqs": freqs, "poss": poss,
            "posting_offs": posting_offs}
-    if "offs_start_blob" in tbl.column_names:
+    if reader.has_offsets:
         # starts delta-encode per posting run (like positions); lens are
         # plain varints — both one occurrence per position entry
-        s_blob, _ = _column_blob(tbl, "offs_start_blob")
+        s_blob = _column_blob(reader, "offs_start_blob")
         s_deltas = codec.varint_decode(s_blob).astype(np.int64)
         sglob = np.cumsum(s_deltas)
         sprior = np.r_[0, sglob][posting_offs[:-1]]
         out["offs_starts"] = sglob - np.repeat(sprior, freqs)
-        l_blob, _ = _column_blob(tbl, "offs_len_blob")
+        l_blob = _column_blob(reader, "offs_len_blob")
         out["offs_lens"] = codec.varint_decode(l_blob).astype(np.int64)
         assert len(out["offs_starts"]) == len(poss)
-    if "pay_blob" in tbl.column_names:
-        sz_blob, _ = _column_blob(tbl, "pay_size_blob")
+    if reader.has_payloads:
+        sz_blob = _column_blob(reader, "pay_size_blob")
         out["pay_sizes"] = codec.varint_decode(sz_blob).astype(np.int64)
-        out["pay_bytes"], _ = _column_blob(tbl, "pay_blob")
+        out["pay_bytes"] = _column_blob(reader, "pay_blob")
         assert len(out["pay_sizes"]) == len(poss)
     return out
 

@@ -38,6 +38,13 @@ from iresearch_ray.index import codec
 from iresearch_ray.util import nul_safe_factorize
 
 TERMS_FILE = "terms.parquet"
+# terms.parquet columns a reader loads together (SegmentReader): the
+# dictionary at the first lookup, each postings group at its first use
+DICT_COLUMNS = ("term", "df", "ttf", "max_freq")
+SKIP_COLUMNS = ("skip_last_doc", "skip_max_freq", "skip_doc_off",
+                "skip_freq_off", "skip_pos_off", "skip_pos_cnt")
+POSTINGS_COLUMN_GROUPS = (("doc_blob", "freq_blob"), SKIP_COLUMNS,
+                          ("pos_blob",))
 # fuzzy/wildcard char-matrix row cap: one mega-token must not allocate
 # n_terms x its length (see SegmentReader.term_chars); far above any
 # realistic fuzzy query length (reference/Lucene cap terms near 255)
@@ -500,8 +507,27 @@ def write_segment_dir(index_dir: str, segment_id: str, terms: pa.Table,
 
 
 class SegmentReader:
-    """Lazy in-memory view of one segment's artifacts (query-side cache —
-    the analogue of reference segment_reader, core/index/segment_reader.cpp:257)."""
+    """Lazy view of one segment's artifacts (query-side cache — the
+    analogue of reference segment_reader, core/index/segment_reader.cpp:257).
+
+    Opening reads only ``segment.json``.  Everything else is read on first
+    use and cached for the reader's life:
+
+    - ``terms_table``, the term dictionary (``term``, ``df``, ``ttf``,
+      ``max_freq``), on the first lookup; it opens ``terms.parquet`` and
+      the reader keeps that file open, so every later read of its columns
+      comes from the same file version even after ``tools purge`` or a
+      stale-lineage ``write_segment_dir`` unlinked it;
+    - the postings columns through ``terms_column``, one group per read:
+      ``doc_blob`` + ``freq_blob`` on the first postings decode, the six
+      ``skip_*`` lists on the first WAND block skip, ``pos_blob`` on the
+      first positional decode, each OFFS/PAY column on its first use;
+    - ``docmap.parquet`` (keys, doc lengths, norms), whole, on the first
+      score or key lookup; ``columns.parquet``, whole, on the first
+      stored-field fetch.
+
+    The open file handle makes a reader unpicklable: Ray actors build
+    their own readers from the segment directory instead."""
 
     def __init__(self, seg_dir: str):
         self.dir = seg_dir
@@ -511,22 +537,52 @@ class SegmentReader:
         self.num_docs = self.meta["num_docs"]
         self.sum_doc_len = self.meta["sum_doc_len"]
         self.max_doc_len = self.meta.get("max_doc_len", 1 << 30)
+        self._terms_file: pq.ParquetFile | None = None
         self._terms_tbl: pa.Table | None = None
+        self._terms_cols: dict[str, pa.ChunkedArray] = {}
         self._terms_np: np.ndarray | None = None
         self._doc_len: np.ndarray | None = None
         self._keys: np.ndarray | None = None
 
     # -- lazy loads ---------------------------------------------------------
     @property
+    def terms_file(self) -> pq.ParquetFile:
+        """``terms.parquet``, opened once and held for the reader's life."""
+        if self._terms_file is None:
+            self._terms_file = pq.ParquetFile(os.path.join(self.dir, TERMS_FILE))
+        return self._terms_file
+
+    @property
     def terms_table(self) -> pa.Table:
+        """The term dictionary: ``DICT_COLUMNS`` of every term row."""
         if self._terms_tbl is None:
-            self._terms_tbl = pq.read_table(os.path.join(self.dir, TERMS_FILE))
+            self._terms_tbl = self.terms_file.read(columns=list(DICT_COLUMNS))
         return self._terms_tbl
+
+    def terms_column(self, name: str) -> pa.ChunkedArray:
+        """One postings column of ``terms.parquet``, read on first use
+        together with the rest of its ``POSTINGS_COLUMN_GROUPS`` group (a
+        column outside every group is read alone)."""
+        col = self._terms_cols.get(name)
+        if col is None:
+            group = next((g for g in POSTINGS_COLUMN_GROUPS if name in g),
+                         (name,))
+            t = self.terms_file.read(columns=list(group))
+            self._terms_cols.update(zip(group, t.columns))
+            col = self._terms_cols[name]
+        return col
+
+    def term_blob(self, name: str, idx: int) -> np.ndarray:
+        """Row ``idx`` of the binary ``terms.parquet`` column ``name`` as a
+        uint8 view."""
+        return np.frombuffer(self.terms_column(name)[idx].as_py(),
+                             dtype=np.uint8)
 
     @property
     def terms(self) -> np.ndarray:
         if self._terms_np is None:
-            self._terms_np = np.asarray(self.terms_table["term"].to_pylist(), dtype=object)
+            self._terms_np = self.terms_table["term"].to_numpy(
+                zero_copy_only=False)
         return self._terms_np
 
     @property
@@ -567,10 +623,10 @@ class SegmentReader:
         return self._term_chars
 
     def _load_docmap(self):
-        t = pq.read_table(os.path.join(self.dir, DOCMAP_FILE))
+        t = pq.ParquetFile(os.path.join(self.dir, DOCMAP_FILE)).read()
         self._docmap_tbl = t  # keep: norm-feature columns read from here
         self._doc_len = t["doc_len"].to_numpy()
-        self._keys = np.asarray(t["key"].to_pylist(), dtype=object)
+        self._keys = t["key"].to_numpy(zero_copy_only=False)
 
     @property
     def doc_len(self) -> np.ndarray:
@@ -659,7 +715,7 @@ class SegmentReader:
         return i, max(i, j)
 
     def df(self, idx: int) -> int:
-        return int(self.terms_table["df"][idx].as_py())
+        return int(self.df_array()[idx])
 
     def df_array(self) -> np.ndarray:
         # cached: IndexReader.df() is called once per probe TERM (e.g.
@@ -748,15 +804,13 @@ class SegmentReader:
             (idx, positions), lambda: self._decode_postings(idx, positions))
 
     def _decode_postings(self, idx: int, positions: bool = False):
-        tbl = self.terms_table
-        doc_blob = np.frombuffer(tbl["doc_blob"][idx].as_py(), dtype=np.uint8)
-        freq_blob = np.frombuffer(tbl["freq_blob"][idx].as_py(), dtype=np.uint8)
+        doc_blob, freq_blob = self.term_blobs(idx)
         docs = codec.delta_decode(codec.varint_decode(doc_blob))
         freqs = codec.varint_decode(freq_blob).astype(np.int64)
         if not positions:
             return docs, freqs
-        pos_blob = np.frombuffer(tbl["pos_blob"][idx].as_py(), dtype=np.uint8)
-        pos_deltas = codec.varint_decode(pos_blob).astype(np.int64)
+        pos_deltas = codec.varint_decode(
+            self.term_blob("pos_blob", idx)).astype(np.int64)
         run_offs = np.zeros(len(freqs) + 1, dtype=np.int64)
         np.cumsum(freqs, out=run_offs[1:])
         # per-run cumsum = global cumsum minus the sum preceding each run
@@ -800,7 +854,7 @@ class SegmentReader:
 
     @property
     def has_offsets(self) -> bool:
-        return "offs_start_blob" in self.terms_table.column_names
+        return "offs_start_blob" in self.terms_file.schema_arrow.names
 
     def postings_offsets(self, idx: int):
         """Decode term row ``idx`` with stored char offsets (OFFS feature)
@@ -811,22 +865,21 @@ class SegmentReader:
                 "segment has no stored offsets; build with "
                 "index_features=('pos', 'offs') or use re-tokenizing "
                 "highlight()")
-        tbl = self.terms_table
         docs, freqs = self.postings(idx)
         run_offs = np.zeros(len(freqs) + 1, dtype=np.int64)
         np.cumsum(freqs, out=run_offs[1:])
-        s_blob = np.frombuffer(tbl["offs_start_blob"][idx].as_py(), dtype=np.uint8)
-        s_deltas = codec.varint_decode(s_blob).astype(np.int64)
+        s_deltas = codec.varint_decode(
+            self.term_blob("offs_start_blob", idx)).astype(np.int64)
         glob = np.cumsum(s_deltas)
         prior = np.r_[0, glob][run_offs[:-1]]
         starts = glob - np.repeat(prior, freqs)
-        l_blob = np.frombuffer(tbl["offs_len_blob"][idx].as_py(), dtype=np.uint8)
-        lens = codec.varint_decode(l_blob).astype(np.int64)
+        lens = codec.varint_decode(
+            self.term_blob("offs_len_blob", idx)).astype(np.int64)
         return docs, freqs, starts, starts + lens, run_offs
 
     @property
     def has_payloads(self) -> bool:
-        return "pay_blob" in self.terms_table.column_names
+        return "pay_blob" in self.terms_file.schema_arrow.names
 
     def postings_payloads(self, idx: int):
         """Decode term row ``idx`` with stored per-occurrence payload bytes
@@ -837,13 +890,12 @@ class SegmentReader:
                 "segment has no stored payloads; build with "
                 "index_features=('pos', 'pay') and a payload-capable "
                 "analyzer (tokens_with_payloads)")
-        tbl = self.terms_table
         docs, freqs = self.postings(idx)
         run_offs = np.zeros(len(freqs) + 1, dtype=np.int64)
         np.cumsum(freqs, out=run_offs[1:])
-        sizes = codec.varint_decode(np.frombuffer(
-            tbl["pay_size_blob"][idx].as_py(), dtype=np.uint8)).astype(np.int64)
-        raw = tbl["pay_blob"][idx].as_py()
+        sizes = codec.varint_decode(
+            self.term_blob("pay_size_blob", idx)).astype(np.int64)
+        raw = self.terms_column("pay_blob")[idx].as_py()
         ends = np.cumsum(sizes)
         starts = ends - sizes
         out = np.empty(len(sizes), dtype=object)
@@ -857,10 +909,8 @@ class SegmentReader:
         the Arrow list-column extraction dominated the union-WAND profile
         when re-done per call."""
         def build():
-            tbl = self.terms_table
-
             def col(name):
-                return tbl[name][idx].values.to_numpy(
+                return self.terms_column(name)[idx].values.to_numpy(
                     zero_copy_only=False).astype(np.int64)
 
             last = col("skip_last_doc")
@@ -879,9 +929,7 @@ class SegmentReader:
         """(doc_blob, freq_blob) of term row ``idx`` as uint8 views —
         extracted ONCE per query so a block-at-a-time WAND loop doesn't
         re-materialize the full blobs per decoded block."""
-        tbl = self.terms_table
-        return (np.frombuffer(tbl["doc_blob"][idx].as_py(), dtype=np.uint8),
-                np.frombuffer(tbl["freq_blob"][idx].as_py(), dtype=np.uint8))
+        return self.term_blob("doc_blob", idx), self.term_blob("freq_blob", idx)
 
     def decode_blocks(self, idx: int, block_mask: np.ndarray, blobs=None):
         """Decode only the selected 128-posting blocks (WAND path)."""

@@ -51,13 +51,12 @@ def dump_index(index_dir: str, generation: int | None = None,
                              zip(docs[:limit], freqs[:limit]))
                   + (" ..." if len(docs) > limit else ""), file=out)
             continue
-        tbl = r.terms_table
-        for row in range(min(limit, tbl.num_rows)):
-            t = tbl["term"][row].as_py()
-            print(f"  {t!r}  df={tbl['df'][row].as_py()} "
-                  f"ttf={tbl['ttf'][row].as_py()}", file=out)
-        if tbl.num_rows > limit:
-            print(f"  ... {tbl.num_rows - limit} more terms", file=out)
+        terms, df = r.terms, r.df_array()
+        ttf = r.terms_table["ttf"].to_numpy()
+        for row in range(min(limit, len(terms))):
+            print(f"  {terms[row]!r}  df={df[row]} ttf={ttf[row]}", file=out)
+        if len(terms) > limit:
+            print(f"  ... {len(terms) - limit} more terms", file=out)
 
 
 def convert_index(src_dir: str, dst_dir: str, target_docs: int,

@@ -485,3 +485,125 @@ def test_resume_invalidates_on_same_name_different_content(
     write(["gamma delta variant content"] * 4)  # same name, new content
     man2 = build_index(src, idx, analyzer="ascii", target_docs=10)
     assert man2["build_stats"]["segments_built"] == 1  # NOT skipped
+
+
+def _commit_segments(idx_dir, batches, ana=None):
+    """Ray-free index: one segment per (texts, keys) batch, one commit."""
+    from iresearch_ray.index import manifest
+
+    ana = ana or get_analyzer("ascii")
+    entries = []
+    for i, (texts, keys) in enumerate(batches):
+        w = SegmentWriter(f"seg-{i:03d}", ana.config())
+        w.add_batch_coded(flatten_batch(ana, texts), keys)
+        meta = w.flush(idx_dir)
+        entries.append({k: meta[k] for k in ("segment_id", "num_docs",
+                                              "sum_doc_len", "num_terms")})
+    return manifest.commit(idx_dir, entries)
+
+
+def test_reader_loads_column_groups_on_first_use(tmp_path, monkeypatch):
+    """A fresh reader reads the dictionary at the first lookup, doc/freq
+    blobs at the first decode, and pos_blob only once a positional query
+    needs it; a zero-term segment opens and answers empty."""
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.index.segment import DICT_COLUMNS, SKIP_COLUMNS
+    from iresearch_ray.search import (IndexReader, IndexSearcher,
+                                      PhraseFilter, TermFilter)
+
+    idx = str(tmp_path)
+    _commit_segments(idx, [(_zipf_texts(n_docs=300), [f"u{i}" for i in range(300)]),
+                           ([None] * 5, [f"n{i}" for i in range(5)])])
+    calls = []
+    real_read = pq.ParquetFile.read
+
+    def spy(self, columns=None, **kw):
+        calls.append((self, None if columns is None else tuple(columns)))
+        return real_read(self, columns=columns, **kw)
+
+    def terms_reads():  # column groups read from the two terms.parquet
+        files = (full.terms_file, empty.terms_file)
+        return [cols for f, cols in calls if any(f is g for g in files)]
+
+    monkeypatch.setattr(pq.ParquetFile, "read", spy)
+    reader = IndexReader(idx)
+    full, empty = (seg.reader for seg in reader.segments)
+    assert len(empty.terms) == 0 and full.df_array()[0] > 0
+    assert terms_reads() == [DICT_COLUMNS, DICT_COLUMNS]
+
+    s = IndexSearcher(reader)
+    hits = s.search(TermFilter("w0000"), k=5, mode="all")
+    assert len(hits) == 5
+    assert terms_reads()[2:] == [("doc_blob", "freq_blob")]  # no pos, no skips
+    assert not full.has_offsets and not full.has_payloads
+    assert len(terms_reads()) == 3  # schema checks read no column
+
+    hits = s.search(PhraseFilter(["w0000", "w0001"]), k=5)
+    assert len(hits) > 0
+    assert terms_reads()[3:] == [("pos_blob",)]
+    assert len(s.search(TermFilter("w0000"), k=5, mode="top")) == 5
+    assert terms_reads()[4:] == [SKIP_COLUMNS]  # WAND block skips
+
+    assert empty.lookup("w0000") == -1
+    assert len(s.search(TermFilter("absent"), k=5)) == 0
+
+
+def test_reader_keeps_its_snapshot_after_segments_are_deleted(tmp_path):
+    """Columns first read after the segment files were unlinked (as
+    ``tools purge`` does) still come from the file version the reader
+    opened: phrase and WAND answers equal a fresh reader's from before."""
+    import shutil
+
+    from iresearch_ray.search import (IndexReader, IndexSearcher, OrFilter,
+                                      PhraseFilter, TermFilter)
+
+    idx = str(tmp_path)
+    texts = _zipf_texts(n_docs=400)
+    keys = [f"u{i:04d}" for i in range(len(texts))]
+    _commit_segments(idx, [(texts[:200], keys[:200]), (texts[200:], keys[200:])])
+    queries = [(PhraseFilter(["w0000", "w0001"]), "all"),
+               (TermFilter("w0000"), "top"),
+               (OrFilter([TermFilter("w0000"), TermFilter("w0002")]), "top")]
+    fresh = IndexSearcher(IndexReader(idx))
+    expected = [fresh.search(f, k=10, mode=m) for f, m in queries]
+
+    s = IndexSearcher(IndexReader(idx))
+    first = s.search(TermFilter("w0003"), k=10)
+    assert len(first) == 10
+    for seg in s.reader.segments:
+        shutil.rmtree(seg.reader.dir)
+    for (f, m), exp in zip(queries, expected):
+        assert s.search(f, k=10, mode=m).equals(exp), (f, m)
+    assert s.search(TermFilter("w0003"), k=10).equals(first)
+
+
+def test_terms_and_keys_convert_like_to_pylist(tmp_path):
+    """``terms``/``keys`` (Arrow ``to_numpy``) give the same values, order,
+    object dtype and ``str`` elements as ``to_pylist`` for NUL-bearing,
+    non-ASCII and empty strings."""
+    import pyarrow.parquet as pq
+
+    words = ["alpha", "gamma\x00x", "d\x00", "tail\x00", "ünï", "İstanbul",
+             "", "ÇA", "x|p\x00ay"]
+    texts = ["|".join(words), "d\x00|İstanbul|", "tail\x00|ünï|gamma\x00x"]
+    keys = ["gamma\x00x", "", "İstanbul"]
+    idx = str(tmp_path)
+    _commit_segments(idx, [(texts, keys)],
+                     get_analyzer("delimiter", delimiter="|"))
+    r = SegmentReader(f"{idx}/seg-000")
+    old_terms = np.asarray(
+        pq.read_table(f"{idx}/seg-000/terms.parquet")["term"].to_pylist(),
+        dtype=object)
+    old_keys = np.asarray(
+        pq.read_table(f"{idx}/seg-000/docmap.parquet")["key"].to_pylist(),
+        dtype=object)
+    for new, old in ((r.terms, old_terms), (r.keys, old_keys)):
+        assert new.dtype == object
+        assert all(type(v) is str for v in new)
+        assert list(new) == list(old)
+    assert list(r.keys) == keys
+    assert {"gamma\x00x", "d\x00", "tail\x00", "ünï", "İstanbul", ""} \
+        <= set(r.terms)
+    for t in r.terms:
+        assert r.terms[r.lookup(t)] == t
