@@ -45,13 +45,18 @@ def varint_nbytes(values: np.ndarray) -> np.ndarray:
 
 def varint_encode(values: np.ndarray) -> np.ndarray:
     """Encode an array of uint32-ranged ints to one LEB128 byte stream."""
+    return varint_encode_offsets(values)[0]
+
+
+def varint_encode_offsets(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``varint_encode`` plus each value's byte offset in the stream
+    (len n + 1, last = stream length)."""
     v = values.astype(np.uint64, copy=False)
     nb = varint_nbytes(v)
-    starts = np.empty(len(v), dtype=np.int64)
-    if len(v):
-        np.cumsum(nb[:-1], out=starts[1:])
-        starts[0] = 0
-    out = np.zeros(int(nb.sum()), dtype=np.uint8)
+    offs = np.zeros(len(v) + 1, dtype=np.int64)
+    np.cumsum(nb, out=offs[1:])
+    starts = offs[:-1]
+    out = np.zeros(int(offs[-1]), dtype=np.uint8)
     for j in range(_MAX_VARINT_BYTES):
         mask = nb > j
         if not mask.any():
@@ -60,7 +65,7 @@ def varint_encode(values: np.ndarray) -> np.ndarray:
         byte = ((v[mask] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(np.uint8)
         cont = (nb[mask] > j + 1).astype(np.uint8) << 7
         out[idx] = byte | cont
-    return out
+    return out, offs
 
 
 def varint_decode(buf: np.ndarray) -> np.ndarray:
@@ -100,11 +105,8 @@ def encode_with_offsets(values: np.ndarray, boundaries: np.ndarray) -> tuple[np.
     positions of each boundary in the blob (len = n_groups + 1) so each
     group decodes from an exact slice.
     """
-    nb = varint_nbytes(values)
-    cum = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(nb, out=cum[1:])
-    blob = varint_encode(values)
-    return blob, cum[np.asarray(boundaries, dtype=np.int64)]
+    blob, offs = varint_encode_offsets(values)
+    return blob, offs[np.asarray(boundaries, dtype=np.int64)]
 
 
 def delta_encode(doc_ids: np.ndarray, list_offsets: np.ndarray) -> np.ndarray:

@@ -3,21 +3,26 @@
 The analogue of the reference's consolidation path (`merge_writer` k-way
 merge with doc-id remap, /root/reference/core/index/merge_writer.cpp:
 207-307,1116-1174; tier policy core/utils/index_utils.hpp:36-90), built as
-whole-segment vectorized decode -> remap -> re-encode:
+a byte splice of the inputs' postings:
 
-- a segment's ENTIRE postings stream decodes in a handful of numpy sweeps
-  (the per-term varint blobs are byte-contiguous in the Arrow column, so
-  one `varint_decode` pass recovers every delta);
-- doc ids shift by the segment's base offset (merge_writer.hpp:46-50's
-  doc-id remapping — ours is a pure add because segments are merged in
-  manifest order and deletes are out of scope);
-- the union dictionary comes from one factorize(sort) over the input
-  dictionaries; postings interleave by one lexsort.
+- only ADJACENT runs merge, in manifest order, so the doc-id remap
+  (merge_writer.hpp:46-50) is a pure add of each input's base: a merged
+  posting list is its inputs' lists concatenated in input order;
+- term order comes from one stable sort of the inputs' term rows;
+- every occurrence-aligned stream (freqs, positions, OFFS, PAY) is a byte
+  concatenation — their deltas reset at every posting, so no position is
+  ever decoded; in the doc stream only the first delta of each input's
+  slice changes;
+- per-posting byte extents come from terminal-byte scans (a LEB128 value
+  ends at its one byte < 0x80), and the shared ``encode_postings_table``
+  derives the skip rows from them;
+- a masked input first drops its deleted postings as byte ranges and
+  re-encodes only its surviving doc deltas.
 
-Only ADJACENT runs merge, so global doc order (segment_base + local id) is
-stable across generations — rank-identical top-k before and after
-consolidation.  Each run is one Ray task; the driver commits a new
-manifest generation (MVCC: readers of the old generation are unaffected).
+Global doc order (segment_base + local id) is therefore stable across
+generations — rank-identical top-k before and after consolidation.  Each
+run is one Ray task; ``consolidate`` then commits a new manifest
+generation (MVCC: readers of the old generation are unaffected).
 """
 
 from __future__ import annotations
@@ -27,225 +32,266 @@ import os
 import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from iresearch_ray.index import codec
 from iresearch_ray.index import manifest as manifest_mod
-from iresearch_ray.util import nul_safe_factorize
+from iresearch_ray.index.delete import load_mask
 from iresearch_ray.index.segment import (
+    BLOB_COLUMNS,
+    DOCMAP_FILE,
     META_FILE,
+    OFFS_COLUMNS,
+    PAY_COLUMNS,
     SegmentReader,
+    _binary_array,
     encode_postings_table,
     write_segment_dir,
 )
 
 
-def _column_blob(reader: SegmentReader, name: str) -> np.ndarray:
-    """Concatenated bytes of one large_binary ``terms.parquet`` column."""
-    col = reader.terms_column(name).combine_chunks()
-    if col.offset != 0:
-        col = pa.concat_arrays([col])  # force re-layout at offset 0
-    bufs = col.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int64)[: len(col) + 1]
-    data = (np.frombuffer(bufs[2], dtype=np.uint8)[: offs[-1]]
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Exclusive cumsum: start offsets of consecutive pieces (len n + 1)."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _array_bytes(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(data bytes, row byte offsets rebased to 0) of a large_binary array."""
+    bufs = arr.buffers()
+    offs = np.frombuffer(bufs[1], dtype=np.int64)[arr.offset:
+                                                   arr.offset + len(arr) + 1]
+    data = (np.frombuffer(bufs[2], dtype=np.uint8)[offs[0]:offs[-1]]
             if bufs[2] is not None else np.empty(0, dtype=np.uint8))
-    return data
+    return data, offs - offs[0]
 
 
 def decode_segment_full(reader: SegmentReader) -> dict:
-    """Vectorized full decode of one segment's postings.
+    """Read one merge input: its term rows, doc ids and freqs decoded, and
+    the byte extent of every posting in every blob column.
 
-    Returns: terms (object), df, p_docs / freqs (concatenated per-posting,
-    term-major order), poss (concatenated position occurrences),
-    posting_offs (len n_postings+1 into poss).  When the segment was built
-    with the OFFS/PAY features the occurrence-aligned streams decode too
-    (offs_starts/offs_lens, pay_sizes/pay_bytes) — they lay out exactly
-    like positions, so the same whole-column sweeps recover them (the
-    reference merges all index features through the same doc-id remap,
-    merge_writer.cpp:1116-1174).
+    Returns ``terms`` (the Arrow term column), ``df``, ``term_post_offs``
+    (len n_terms+1), per posting (term-major) ``docs`` (local, 1-based)
+    and ``freqs``, the docmap's ``keys`` (Arrow) and ``doc_len``, and
+    ``streams``: blob column -> (bytes, byte offset of each posting, len
+    n_postings+1).  Only doc ids, freqs and payload sizes are decoded;
+    positions and OFFS values never are.  Raises ValueError naming the
+    segment and column when a blob's value count or term slices disagree
+    with the dictionary's df / ttf.
     """
+    sid = reader.segment_id
     df = reader.df_array().astype(np.int64)
-    n_post = int(df.sum())
-    term_offs = np.zeros(len(df) + 1, dtype=np.int64)
-    np.cumsum(df, out=term_offs[1:])
+    term_post_offs = _offsets(df)
+    n_post = int(term_post_offs[-1])
+    n_occ = int(reader.terms_table["ttf"].to_numpy().sum())
 
-    doc_blob = _column_blob(reader, "doc_blob")
-    deltas = codec.varint_decode(doc_blob).astype(np.int64)
-    assert len(deltas) == n_post, (len(deltas), n_post)
-    glob = np.cumsum(deltas)
-    prior = np.r_[0, glob][term_offs[:-1]]
-    p_docs = glob - np.repeat(prior, df)
+    def fail(name, what, got, want):
+        raise ValueError(f"segment {sid!r} column {name!r}: {what} {got}, "
+                         f"expected {want}; the segment is corrupt")
 
-    freq_blob = _column_blob(reader, "freq_blob")
-    freqs = codec.varint_decode(freq_blob).astype(np.int64)
-    assert len(freqs) == n_post
+    def stream(name, n_values, last=None, sizes=None):
+        """(bytes, per-posting byte offsets) of one blob column holding
+        one value per posting, or per occurrence when ``last`` gives each
+        posting's last value; a value ends at its terminal byte, or spans
+        ``sizes`` bytes (``pay_blob``)."""
+        data, row_offs = _array_bytes(
+            reader.terms_column(name).combine_chunks())
+        if sizes is not None:
+            ends = np.cumsum(sizes)
+            n_bytes = int(ends[-1]) if n_values else 0
+            if len(data) != n_bytes:
+                fail(name, "byte count", len(data), n_bytes)
+        elif len(data) == n_values and not (data >= 0x80).any():
+            ends = np.arange(1, n_values + 1)  # one byte per value
+        else:
+            ends = np.flatnonzero(data < 0x80) + 1
+            if len(ends) != n_values:
+                fail(name, "varint count", len(ends), n_values)
+        at = np.zeros(n_post + 1, dtype=np.int64)
+        at[1:] = ends if last is None else ends[last]
+        bad = np.flatnonzero(at[term_post_offs] != row_offs)
+        if len(bad):
+            fail(name, f"byte offset of term row {bad[0]}",
+                 int(row_offs[bad[0]]), int(at[term_post_offs][bad[0]]))
+        return data, at
 
-    pos_blob = _column_blob(reader, "pos_blob")
-    pos_deltas = codec.varint_decode(pos_blob).astype(np.int64)
-    posting_offs = np.zeros(n_post + 1, dtype=np.int64)
-    np.cumsum(freqs, out=posting_offs[1:])
-    pglob = np.cumsum(pos_deltas)
-    pprior = np.r_[0, pglob][posting_offs[:-1]]
-    poss = pglob - np.repeat(pprior, freqs)
-
-    out = {"terms": reader.terms, "df": df,
-           "p_docs": p_docs, "freqs": freqs, "poss": poss,
-           "posting_offs": posting_offs}
+    streams = {"doc_blob": stream("doc_blob", n_post),
+               "freq_blob": stream("freq_blob", n_post)}
+    glob = np.cumsum(codec.varint_decode(streams["doc_blob"][0]).astype(np.int64))
+    prior = np.r_[0, glob][term_post_offs[:-1]]
+    docs = glob - np.repeat(prior, df)
+    if len(docs) and (docs.min() < 1 or docs.max() > reader.num_docs):
+        fail("doc_blob", "doc id range", (int(docs.min()), int(docs.max())),
+             (1, reader.num_docs))
+    freqs = codec.varint_decode(streams["freq_blob"][0]).astype(np.int64)
+    last = np.cumsum(freqs) - 1  # each posting's last occurrence
+    if len(freqs) and (freqs.min() < 1 or last[-1] + 1 != n_occ):
+        fail("freq_blob", "(min freq, occurrences)",
+             (int(freqs.min()), int(last[-1] + 1)), (1, n_occ))
+    occurrence = ["pos_blob"]
     if reader.has_offsets:
-        # starts delta-encode per posting run (like positions); lens are
-        # plain varints — both one occurrence per position entry
-        s_blob = _column_blob(reader, "offs_start_blob")
-        s_deltas = codec.varint_decode(s_blob).astype(np.int64)
-        sglob = np.cumsum(s_deltas)
-        sprior = np.r_[0, sglob][posting_offs[:-1]]
-        out["offs_starts"] = sglob - np.repeat(sprior, freqs)
-        l_blob = _column_blob(reader, "offs_len_blob")
-        out["offs_lens"] = codec.varint_decode(l_blob).astype(np.int64)
-        assert len(out["offs_starts"]) == len(poss)
+        occurrence += OFFS_COLUMNS
     if reader.has_payloads:
-        sz_blob = _column_blob(reader, "pay_size_blob")
-        out["pay_sizes"] = codec.varint_decode(sz_blob).astype(np.int64)
-        out["pay_bytes"] = _column_blob(reader, "pay_blob")
-        assert len(out["pay_sizes"]) == len(poss)
-    return out
+        occurrence.append("pay_size_blob")
+    for name in occurrence:
+        streams[name] = stream(name, n_occ, last)
+    if reader.has_payloads:
+        sizes = codec.varint_decode(streams["pay_size_blob"][0]).astype(np.int64)
+        streams["pay_blob"] = stream("pay_blob", n_occ, last, sizes)
+    dm = pq.read_table(os.path.join(reader.dir, DOCMAP_FILE),
+                       columns=["key", "doc_len"])
+    if dm.num_rows != reader.num_docs:
+        fail("key", "docmap rows", dm.num_rows, reader.num_docs)
+    return {"terms": reader.terms_table["term"].combine_chunks(), "df": df,
+            "term_post_offs": term_post_offs, "docs": docs, "freqs": freqs,
+            "keys": dm["key"].combine_chunks(),
+            "doc_len": dm["doc_len"].to_numpy(), "streams": streams}
+
+
+def _drop_deleted(d: dict, deleted: np.ndarray) -> dict:
+    """``d`` without the postings of the sorted ``deleted`` local doc ids:
+    every blob loses those postings' byte ranges, surviving doc ids close
+    the gaps (the reference merge_writer's doc_map, merge_writer.cpp:
+    207-307) and only their doc deltas are re-encoded.  A term left
+    without postings keeps its row with df 0."""
+    docs = d["docs"]
+    at = np.searchsorted(deleted, docs)
+    keep = ~((at < len(deleted))
+             & (deleted[np.minimum(at, len(deleted) - 1)] == docs))
+    term_post_offs = _offsets(keep)[d["term_post_offs"]]
+    docs = docs[keep] - at[keep]
+    streams = {"doc_blob": codec.varint_encode_offsets(
+        codec.delta_encode(docs, term_post_offs))}
+    for name, (blob, offs) in d["streams"].items():
+        if name != "doc_blob":
+            sizes = np.diff(offs)
+            streams[name] = (blob[np.repeat(keep, sizes)],
+                             _offsets(sizes[keep]))
+    return {**d, "df": np.diff(term_post_offs),
+            "term_post_offs": term_post_offs, "docs": docs,
+            "freqs": d["freqs"][keep], "streams": streams}
+
+
+def _absent_stream(d: dict, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Stream ``name`` for an input built without its feature: an empty
+    entry per occurrence — varint 0 (zero-width offset, zero-byte payload)
+    in the varint columns, nothing in ``pay_blob``."""
+    runs = _offsets(d["freqs"])
+    if name == "pay_blob":
+        return np.empty(0, dtype=np.uint8), np.zeros_like(runs)
+    return np.zeros(runs[-1], dtype=np.uint8), runs
+
+
+def _head_cuts(offs: np.ndarray, term_post_offs: np.ndarray) -> np.ndarray:
+    """Byte offsets splitting every term row in two: its first posting's
+    value, then the rest (a row without postings gives two empty
+    pieces)."""
+    starts = term_post_offs[:-1]
+    cuts = np.empty(2 * len(starts) + 1, dtype=np.int64)
+    cuts[0:-1:2] = offs[starts]
+    cuts[1::2] = offs[np.minimum(starts + 1, term_post_offs[1:])]
+    cuts[-1] = offs[term_post_offs[-1]]
+    return cuts
 
 
 def merge_segment_tables(readers: list[SegmentReader],
                          masks: list[np.ndarray | None] | None = None,
-                         ) -> tuple[pa.Table, pa.Table, dict]:
-    """Merge K segments (in order) into one; returns (terms, docmap, stats).
+                         ) -> tuple[pa.Table, pa.Table, dict, pa.Table | None]:
+    """Merge K segments (in order) into one; returns (terms, docmap, stats,
+    stored columns or None).
 
     ``masks[i]``: sorted deleted local doc ids (1-based) for reader i — those
     docs are physically purged and surviving doc ids densely remapped, like
     the reference merge_writer's doc_map (merge_writer.cpp:207-307)."""
     if masks is None:
         masks = [None] * len(readers)
-    decoded = [decode_segment_full(r) for r in readers]
+    inputs, keep_rows_parts = [], []
+    for r, m in zip(readers, masks):
+        d = decode_segment_full(r)
+        kept = np.ones(r.num_docs, dtype=bool)
+        if m is not None and len(m):
+            kept[m - 1] = False
+            d = _drop_deleted(d, m)
+        inputs.append(d)
+        keep_rows_parts.append(kept)
     kept_counts = [r.num_docs - (len(m) if m is not None else 0)
                    for r, m in zip(readers, masks)]
-    bases = np.zeros(len(readers), dtype=np.int64)
-    np.cumsum(kept_counts[:-1], out=bases[1:])
+    bases = _offsets(kept_counts)[:-1]
+    post_bases = _offsets([len(d["docs"]) for d in inputs])[:-1]
 
-    all_terms = np.concatenate([d["terms"] for d in decoded])
-    codes_flat, uniques = nul_safe_factorize(all_terms, sort=True)
-    # per-posting term code and remapped doc, in segment order
-    code_parts, doc_parts, freq_parts = [], [], []
-    run_start_parts, run_len_parts = [], []
-    keep_rows_parts = []
-    t_cursor = 0
-    pos_base = 0
-    for d, base, m, r in zip(decoded, bases, masks, readers):
-        n_t = len(d["terms"])
-        codes = np.repeat(codes_flat[t_cursor:t_cursor + n_t], d["df"])
-        t_cursor += n_t
-        p_docs, freqs = d["p_docs"], d["freqs"]
-        run_start = d["posting_offs"][:-1] + pos_base
-        pos_base += d["posting_offs"][-1]
-        if m is not None and len(m):
-            at = np.searchsorted(m, p_docs)
-            dele = (at < len(m)) & (m[np.minimum(at, len(m) - 1)] == p_docs)
-            keep = ~dele
-            codes, freqs, run_start = codes[keep], freqs[keep], run_start[keep]
-            p_docs = p_docs[keep] - np.searchsorted(m, p_docs[keep])
-            rows = np.ones(r.num_docs, dtype=bool)
-            rows[m - 1] = False
-            keep_rows_parts.append(rows)
+    # merged order of the term rows: by term, then input (a stable sort of
+    # the input-major rows); a row left without postings by a mask drops
+    terms = pa.concat_arrays([d["terms"] for d in inputs])
+    row_df = np.concatenate([d["df"] for d in inputs])
+    live = np.flatnonzero(row_df > 0)
+    rows = live[pc.sort_indices(terms.take(live)).to_numpy()]
+    row_terms = terms.take(rows)
+    new_term = np.ones(len(rows), dtype=bool)
+    if len(rows) > 1:
+        new_term[1:] = pc.not_equal(row_terms[1:], row_terms[:-1]).to_numpy(
+            zero_copy_only=False)
+    # each row's postings, gathered into merged order
+    row_df = row_df[rows]
+    row_offs = _offsets(row_df)
+    row_start = np.concatenate([d["term_post_offs"][:-1] + b
+                                for d, b in zip(inputs, post_bases)])[rows]
+    gather = (np.repeat(row_start - row_offs[:-1], row_df)
+              + np.arange(row_offs[-1], dtype=np.int64))
+    p_docs = np.concatenate([d["docs"] + b
+                             for d, b in zip(inputs, bases)])[gather]
+    freqs = np.concatenate([d["freqs"] for d in inputs])[gather]
+    term_post_offs = np.r_[row_offs[:-1][new_term], row_offs[-1]]
+
+    # blob columns: each row's byte slice, concatenated in merged order.
+    # MIXED feature sets merge like the reference (merge_writer.cpp:
+    # 1116-1174 merges any segment combination): the merged segment
+    # declares the union of features and an input lacking a stream
+    # contributes empty entries
+    names = list(BLOB_COLUMNS)
+    for group in (OFFS_COLUMNS, PAY_COLUMNS):
+        if any(group[0] in d["streams"] for d in inputs):
+            names += group
+    # a row's first doc delta counts from 0 in its input; merged, it
+    # follows the previous row's last doc of the same term, so doc_blob
+    # rows are cut after their first value and get a new one
+    heads = row_offs[:-1]
+    prev_last = np.zeros(len(rows), dtype=np.int64)
+    prev_last[1:] = p_docs[heads[1:] - 1]
+    prev_last[new_term] = 0
+    firsts, first_offs = codec.varint_encode_offsets(p_docs[heads] - prev_last)
+    streams = {}
+    for name in names:
+        parts = [d["streams"][name] if name in d["streams"]
+                 else _absent_stream(d, name) for d in inputs]
+        sizes = np.concatenate([np.diff(offs) for _, offs in parts])[gather]
+        if name == "doc_blob":
+            pieces = [_binary_array(blob, _head_cuts(offs, d["term_post_offs"]))
+                      for (blob, offs), d in zip(parts, inputs)]
+            pieces.append(_binary_array(firsts, first_offs))
+            # piece order: new first value, then the rest, per merged row
+            order = np.column_stack((2 * len(terms) + np.arange(len(rows)),
+                                     2 * rows + 1)).ravel()
+            sizes[heads] = np.diff(first_offs)
         else:
-            keep_rows_parts.append(np.ones(r.num_docs, dtype=bool))
-        code_parts.append(codes)
-        doc_parts.append(p_docs + base)
-        freq_parts.append(freqs)
-        run_start_parts.append(run_start)
-        run_len_parts.append(freqs)
-    code_all = np.concatenate(code_parts) if code_parts else np.empty(0, dtype=np.int64)
-    doc_all = np.concatenate(doc_parts) if doc_parts else np.empty(0, dtype=np.int64)
-    freq_all = np.concatenate(freq_parts) if freq_parts else np.empty(0, dtype=np.int64)
-    run_start = np.concatenate(run_start_parts) if run_start_parts else np.empty(0, dtype=np.int64)
-    poss_all = (np.concatenate([d["poss"] for d in decoded])
-                if decoded else np.empty(0, dtype=np.int64))
+            pieces = [_binary_array(blob, offs[d["term_post_offs"]])
+                      for (blob, offs), d in zip(parts, inputs)]
+            order = rows
+        sliced = pa.concat_arrays(pieces).take(pa.array(order))
+        streams[name] = (_array_bytes(sliced)[0], _offsets(sizes))
 
-    order = np.lexsort((doc_all, code_all))
-    p_docs = doc_all[order]
-    freqs = freq_all[order]
-    # term boundaries over sorted codes
-    sc = code_all[order]
-    if len(sc):
-        new_term = np.empty(len(sc), dtype=bool)
-        new_term[0] = True
-        new_term[1:] = sc[1:] != sc[:-1]
-        term_post_offs = np.r_[np.flatnonzero(new_term), len(sc)].astype(np.int64)
-    else:
-        term_post_offs = np.zeros(1, dtype=np.int64)
-    # gather position runs into the new posting order
-    out_offs = np.zeros(len(freqs) + 1, dtype=np.int64)
-    np.cumsum(freqs, out=out_offs[1:])
-    total = int(out_offs[-1])
-    gather = (np.repeat(run_start[order], freqs)
-              + (np.arange(total, dtype=np.int64) - np.repeat(out_offs[:-1], freqs)))
-    poss = poss_all[gather] if total else np.empty(0, dtype=np.int64)
-
-    # OFFS/PAY streams are occurrence-aligned with positions, so the same
-    # gather permutation remaps them (deleted postings' runs drop out with
-    # their position runs).  MIXED feature sets merge like the reference
-    # (merge_writer.cpp:1116-1174 merges any segment combination): a
-    # segment lacking a stream contributes EMPTY entries — zero-width
-    # [0, 0) offsets / zero-byte payloads per occurrence — so the merged
-    # segment declares the union of features and readers see absent data
-    # as empty, never an error
-    has_offs = [("offs_starts" in d) for d in decoded]
-    has_pay = [("pay_sizes" in d) for d in decoded]
-    offs = None
-    if decoded and any(has_offs):
-        starts_all = np.concatenate(
-            [d["offs_starts"] if h else np.zeros(len(d["poss"]), np.int64)
-             for d, h in zip(decoded, has_offs)])
-        lens_all = np.concatenate(
-            [d["offs_lens"] if h else np.zeros(len(d["poss"]), np.int64)
-             for d, h in zip(decoded, has_offs)])
-        starts = starts_all[gather] if total else np.empty(0, dtype=np.int64)
-        lens = lens_all[gather] if total else np.empty(0, dtype=np.int64)
-        offs = (starts, starts + lens)
-    pays = None
-    if decoded and any(has_pay):
-        sizes_all = np.concatenate(
-            [d["pay_sizes"] if h else np.zeros(len(d["poss"]), np.int64)
-             for d, h in zip(decoded, has_pay)])
-        blob_all = np.concatenate(
-            [d["pay_bytes"] for d, h in zip(decoded, has_pay) if h]
-            or [np.empty(0, dtype=np.uint8)])
-        by_bounds = np.zeros(len(sizes_all) + 1, dtype=np.int64)
-        np.cumsum(sizes_all, out=by_bounds[1:])
-        new_sizes = sizes_all[gather] if total else np.empty(0, dtype=np.int64)
-        new_cum = np.zeros(len(new_sizes) + 1, dtype=np.int64)
-        np.cumsum(new_sizes, out=new_cum[1:])
-        nbytes = int(new_cum[-1])
-        if nbytes:
-            byte_gather = (np.repeat(by_bounds[:-1][gather], new_sizes)
-                           + (np.arange(nbytes, dtype=np.int64)
-                              - np.repeat(new_cum[:-1], new_sizes)))
-            new_blob = blob_all[byte_gather]
-        else:
-            new_blob = np.empty(0, dtype=np.uint8)
-        pays = (new_sizes, new_blob)
-
-    # compact the dictionary to terms that still have postings (a fully
-    # masked term vanishes, like the reference's merged term dictionary)
-    used = (np.asarray(uniques, dtype=object)[sc[term_post_offs[:-1]]]
-            if len(sc) else np.empty(0, dtype=object))
-    terms_tbl = encode_postings_table(used, term_post_offs, p_docs, freqs,
-                                      poss, out_offs, offs=offs, pays=pays)
-    keep_rows = (np.concatenate(keep_rows_parts) if keep_rows_parts
-                 else np.empty(0, dtype=bool))
-    all_keys = (np.concatenate([r.keys for r in readers])[keep_rows]
-                if readers else np.empty(0, dtype=object))
-    all_lens = (np.concatenate([r.doc_len for r in readers])[keep_rows]
-                if readers else np.empty(0, dtype=np.int64))
-    num_docs = int(len(all_keys))
+    terms_tbl = encode_postings_table(row_terms.filter(pa.array(new_term)),
+                                      term_post_offs, p_docs, freqs,
+                                      streams=streams)
+    keep_rows = np.concatenate(keep_rows_parts)
+    all_lens = np.concatenate([d["doc_len"] for d in inputs])[keep_rows]
+    num_docs = int(len(all_lens))
     docmap_cols = {
         "doc_id": pa.array(np.arange(1, num_docs + 1, dtype=np.int64)),
-        "key": pa.array(all_keys.tolist(), type=pa.string()),
+        "key": pa.concat_arrays([d["keys"] for d in inputs]).filter(
+            pa.array(keep_rows)),
         "doc_len": pa.array(all_lens, type=pa.int64()),
     }
     stats = {
@@ -336,14 +382,9 @@ def merge_run(index_dir: str, segment_ids: list[str], out_id: str,
             return meta
     t0 = time.monotonic()
     readers = [SegmentReader(os.path.join(index_dir, sid)) for sid in segment_ids]
-    masks = []
-    for sid in segment_ids:
-        name = mask_files.get(sid)
-        if name:
-            t = pq.read_table(os.path.join(index_dir, sid, name))
-            masks.append(t["deleted_doc"].to_numpy().astype(np.int64))
-        else:
-            masks.append(None)
+    masks = [load_mask(index_dir, {"segment_id": sid,
+                                   "docmask": mask_files.get(sid)})
+             for sid in segment_ids]
     terms_tbl, docmap, stats, columns_tbl = merge_segment_tables(readers, masks)
     # transitive leaf lineage: resolvable even after intermediate merged
     # segments are purged (directory cleaner)
@@ -354,7 +395,7 @@ def merge_run(index_dir: str, segment_ids: list[str], out_id: str,
     meta = {
         "format_version": FORMAT_VERSION,
         # preserve the operator's chosen storage format across merges
-        # (write_segment_dir would otherwise re-encode in default 1_0)
+        # (write_segment_dir would otherwise write default 1_0)
         "format": readers[0].meta.get("format", "1_0"),
         "segment_id": out_id,
         # features derive from the merged table itself (offs/pay streams

@@ -305,18 +305,71 @@ def invert_coded(codes: np.ndarray, sorted_uniques: np.ndarray,
                                  offs=offs, pays=pays)
 
 
-def encode_postings_table(uniques: np.ndarray, term_post_offs: np.ndarray,
-                          p_docs: np.ndarray, freqs: np.ndarray,
-                          poss: np.ndarray,
-                          posting_offs_in_tokens: np.ndarray,
-                          offs: tuple[np.ndarray, np.ndarray] | None = None,
-                          pays: "np.ndarray | tuple | None" = None) -> pa.Table:
-    """Encode already-inverted postings into the terms.parquet schema.
+# terms.parquet blob columns, in schema order; the last four exist only
+# with the OFFS / PAY index features
+BLOB_COLUMNS = ("doc_blob", "freq_blob", "pos_blob")
+OFFS_COLUMNS = ("offs_start_blob", "offs_len_blob")
+PAY_COLUMNS = ("pay_size_blob", "pay_blob")
 
-    Inputs: sorted unique terms; per-term posting offsets (len n_terms+1);
-    concatenated per-posting (doc, freq); concatenated position occurrences
-    with per-posting run offsets (len n_postings+1).  Shared by the segment
-    flush and the k-way segment merge (which produces already-inverted runs).
+
+def _encode_streams(term_post_offs: np.ndarray, p_docs: np.ndarray,
+                   freqs: np.ndarray, poss: np.ndarray,
+                   posting_offs_in_tokens: np.ndarray,
+                   offs: tuple[np.ndarray, np.ndarray] | None = None,
+                   pays: np.ndarray | None = None) -> dict:
+    """Varint-encode inverted postings into the blob columns' streams:
+    column name -> (bytes, byte offset of each posting, len n_postings+1).
+
+    Doc ids delta-encode per term, positions and OFFS starts per posting
+    run, OFFS lengths (end - start) and payload sizes are plain varints;
+    ``pay_blob`` holds the raw payload bytes (``pays``: one bytes object
+    per occurrence) in occurrence order."""
+    runs = np.asarray(posting_offs_in_tokens, dtype=np.int64)
+    streams = {
+        "doc_blob": codec.varint_encode_offsets(
+            codec.delta_encode(p_docs, term_post_offs)),
+        "freq_blob": codec.varint_encode_offsets(freqs),
+    }
+    occurrence_values = {"pos_blob": codec.positions_delta_encode(poss, runs)}
+    if offs is not None:
+        starts, ends = offs
+        occurrence_values["offs_start_blob"] = codec.positions_delta_encode(
+            starts, runs)
+        occurrence_values["offs_len_blob"] = (ends - starts).astype(np.int64)
+    if pays is not None:
+        sizes = np.fromiter((len(p) for p in pays), dtype=np.int64,
+                            count=len(pays))
+        occurrence_values["pay_size_blob"] = sizes
+        blob = (np.frombuffer(b"".join(pays), dtype=np.uint8) if len(pays)
+                else np.empty(0, dtype=np.uint8))
+        by_cum = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=by_cum[1:])
+        streams["pay_blob"] = (blob, by_cum[runs])
+    for name, values in occurrence_values.items():
+        blob, value_offs = codec.varint_encode_offsets(values)
+        streams[name] = (blob, value_offs[runs])
+    return streams
+
+
+def encode_postings_table(uniques, term_post_offs: np.ndarray,
+                          p_docs: np.ndarray, freqs: np.ndarray,
+                          poss: np.ndarray | None = None,
+                          posting_offs_in_tokens: np.ndarray | None = None,
+                          offs: tuple[np.ndarray, np.ndarray] | None = None,
+                          pays: np.ndarray | None = None,
+                          streams: dict | None = None) -> pa.Table:
+    """Encode inverted postings into the terms.parquet schema.
+
+    Inputs: sorted unique terms (an object ndarray, or an Arrow string
+    array used as the column as-is); per-term posting offsets (len
+    n_terms+1); concatenated per-posting (doc, freq).  The blob columns
+    come in one of two forms: as values (the segment flush) — position
+    occurrences ``poss`` with per-posting run offsets (len n_postings+1)
+    and the optional OFFS ``offs`` / PAY ``pays``, encoded here by
+    ``_encode_streams`` — or as ``streams`` already encoded in its output
+    form (the merge, which splices its inputs' bytes).  Dictionary stats
+    and the per-128-posting skip rows come from the doc ids, freqs and the
+    streams' per-posting byte offsets alike.
     """
     n_terms = len(uniques)
     t_starts = term_post_offs[:-1]
@@ -326,14 +379,13 @@ def encode_postings_table(uniques: np.ndarray, term_post_offs: np.ndarray,
         # IndexError when the LAST group is empty — check FIRST so the
         # named diagnostic always wins); merge never produces them
         raise ValueError("empty posting list for a dictionary term")
+    if streams is None:
+        streams = _encode_streams(term_post_offs, p_docs, freqs, poss,
+                                 posting_offs_in_tokens, offs, pays)
     ttf = (np.add.reduceat(freqs, t_starts) if len(freqs)
-           else np.empty(0, dtype=np.int64))
-    if n_terms and len(freqs) == 0:
-        ttf = np.zeros(n_terms, dtype=np.int64)
+           else np.zeros(n_terms, dtype=np.int64))
     max_freq = (codec.block_max_reduce(freqs, term_post_offs)
-                if len(freqs) else np.empty(0, dtype=np.int64))
-    if n_terms and len(freqs) == 0:
-        max_freq = np.zeros(n_terms, dtype=np.int64)
+                if len(freqs) else np.zeros(n_terms, dtype=np.int64))
     blocks_per_term = (df + codec.BLOCK - 1) // codec.BLOCK
 
     # ---- per-term 128-posting block boundaries (in posting index space) ----
@@ -350,113 +402,49 @@ def encode_postings_table(uniques: np.ndarray, term_post_offs: np.ndarray,
         blk_end = np.empty(0, dtype=np.int64)
     blk_bounds = np.r_[blk_start, len(p_docs)].astype(np.int64)  # reduceat-style starts
 
-    # ---- encode doc deltas + freqs, offsets at both term and block grain ----
-    deltas = codec.delta_encode(p_docs, term_post_offs)
-    doc_nb = codec.varint_nbytes(deltas)
-    doc_cum = np.zeros(len(deltas) + 1, dtype=np.int64)
-    np.cumsum(doc_nb, out=doc_cum[1:])
-    doc_blob = codec.varint_encode(deltas)
-
-    freq_nb = codec.varint_nbytes(freqs)
-    freq_cum = np.zeros(len(freqs) + 1, dtype=np.int64)
-    np.cumsum(freq_nb, out=freq_cum[1:])
-    freq_blob = codec.varint_encode(freqs)
-
-    # ---- positions: delta per posting run; byte offsets per posting ----
-    posting_offs_in_tokens = np.asarray(posting_offs_in_tokens, dtype=np.int64)
-    pos_deltas = codec.positions_delta_encode(poss, posting_offs_in_tokens)
-    pos_nb = codec.varint_nbytes(pos_deltas)
-    pos_cum = np.zeros(len(pos_deltas) + 1, dtype=np.int64)
-    np.cumsum(pos_nb, out=pos_cum[1:])
-    pos_blob = codec.varint_encode(pos_deltas)
-    # byte offset of each POSTING's position run; term/block offsets index this
-    posting_pos_off = pos_cum[posting_offs_in_tokens]
-
-    # ---- skip arrays, only for terms with >1 block ----
+    # ---- skip arrays, only for terms with >1 block; byte offsets are
+    # relative to the term's own blob slice ----
     has_skip = blocks_per_term > 1
     skip_counts = np.where(has_skip, blocks_per_term, 0)
     skip_offs = np.zeros(n_terms + 1, dtype=np.int64)
     np.cumsum(skip_counts, out=skip_offs[1:])
+    skip = {}
     if len(blk_term):
         keep = has_skip[blk_term]
         k_start, k_end, k_term = blk_start[keep], blk_end[keep], blk_term[keep]
-        skip_last_doc = p_docs[k_end - 1]
-        skip_max_freq = np.maximum.reduceat(freqs, blk_bounds[:-1])[keep] if len(freqs) else k_start
-        # offsets relative to the term's own blob slice
-        skip_doc_off = doc_cum[k_start] - doc_cum[term_post_offs[k_term]]
-        skip_freq_off = freq_cum[k_start] - freq_cum[term_post_offs[k_term]]
-        skip_pos_off = posting_pos_off[k_start] - posting_pos_off[term_post_offs[k_term]]
+        k_head = term_post_offs[k_term]
+        skip["skip_last_doc"] = p_docs[k_end - 1]
+        skip["skip_max_freq"] = np.maximum.reduceat(freqs, blk_bounds[:-1])[keep]
+        for col, name in (("skip_doc_off", "doc_blob"),
+                          ("skip_freq_off", "freq_blob"),
+                          ("skip_pos_off", "pos_blob")):
+            at = streams[name][1]
+            skip[col] = at[k_start] - at[k_head]
         # position-count offset so a block seek knows how many position values precede
         freq_presum = np.zeros(len(freqs) + 1, dtype=np.int64)
         np.cumsum(freqs, out=freq_presum[1:])
-        skip_pos_cnt = freq_presum[k_start] - freq_presum[term_post_offs[k_term]]
-    else:
-        skip_last_doc = skip_max_freq = skip_doc_off = skip_freq_off = skip_pos_off = skip_pos_cnt = np.empty(0, dtype=np.int64)
-
-    term_doc_offs = doc_cum[term_post_offs]
-    term_freq_offs = freq_cum[term_post_offs]
-    term_pos_offs = posting_pos_off  # per-posting; per-term via term_post_offs
-    term_pos_byte_offs = term_pos_offs[term_post_offs]
+        skip["skip_pos_cnt"] = freq_presum[k_start] - freq_presum[k_head]
 
     cols = {
-        "term": pa.array(uniques.tolist(), type=pa.string()),
+        "term": (uniques if isinstance(uniques, pa.Array)
+                 else pa.array(uniques, type=pa.string())),
         "df": pa.array(df, type=pa.int64()),
         "ttf": pa.array(ttf, type=pa.int64()),
         "max_freq": pa.array(max_freq, type=pa.int64()),
-        "doc_blob": _binary_array(doc_blob, term_doc_offs),
-        "freq_blob": _binary_array(freq_blob, term_freq_offs),
-        "pos_blob": _binary_array(pos_blob, term_pos_byte_offs),
-        "skip_last_doc": _large_list_array(skip_last_doc, skip_offs),
-        "skip_max_freq": _large_list_array(skip_max_freq, skip_offs),
-        "skip_doc_off": _large_list_array(skip_doc_off, skip_offs),
-        "skip_freq_off": _large_list_array(skip_freq_off, skip_offs),
-        "skip_pos_off": _large_list_array(skip_pos_off, skip_offs),
-        "skip_pos_cnt": _large_list_array(skip_pos_cnt, skip_offs),
     }
-    if offs is not None:
-        # OFFS feature (reference .pay/offset stream, formats_10.cpp:
-        # 345-353): per-occurrence char offsets, laid out exactly like
-        # positions — starts delta-encoded per posting run, lengths
-        # (end - start) as plain varints — so term-slice byte offsets
-        # reuse the position bookkeeping shape
-        starts, ends = offs
-        os_deltas = codec.positions_delta_encode(starts, posting_offs_in_tokens)
-        os_nb = codec.varint_nbytes(os_deltas)
-        os_cum = np.zeros(len(os_deltas) + 1, dtype=np.int64)
-        np.cumsum(os_nb, out=os_cum[1:])
-        lens = (ends - starts).astype(np.int64)
-        ln_nb = codec.varint_nbytes(lens)
-        ln_cum = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(ln_nb, out=ln_cum[1:])
-        tok_offs = posting_offs_in_tokens[term_post_offs]
-        cols["offs_start_blob"] = _binary_array(codec.varint_encode(os_deltas),
-                                                os_cum[tok_offs])
-        cols["offs_len_blob"] = _binary_array(codec.varint_encode(lens),
-                                              ln_cum[tok_offs])
-    if pays is not None:
-        # PAY feature (reference formats_10.cpp .pay stream): raw payload
-        # bytes concatenated in occurrence order + varint sizes, sliced
-        # per term exactly like the position blobs.  Accepts either a
-        # sequence of bytes objects (build path) or an already-flattened
-        # (sizes, blob) pair (segment merge — avoids round-tripping every
-        # occurrence through a Python bytes object)
-        if isinstance(pays, tuple):
-            sizes = np.asarray(pays[0], dtype=np.int64)
-            blob = np.asarray(pays[1], dtype=np.uint8)
-        else:
-            sizes = np.fromiter((len(p) for p in pays), dtype=np.int64,
-                                count=len(pays))
-            blob = np.frombuffer(b"".join(pays), dtype=np.uint8) \
-                if len(pays) else np.empty(0, dtype=np.uint8)
-        sz_nb = codec.varint_nbytes(sizes)
-        sz_cum = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sz_nb, out=sz_cum[1:])
-        by_cum = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=by_cum[1:])
-        tok_offs = posting_offs_in_tokens[term_post_offs]
-        cols["pay_size_blob"] = _binary_array(codec.varint_encode(sizes),
-                                              sz_cum[tok_offs])
-        cols["pay_blob"] = _binary_array(blob, by_cum[tok_offs])
+    # OFFS (reference .pay/offset stream, formats_10.cpp:345-353) and PAY
+    # (its .pay stream) lay out per occurrence exactly like positions, so
+    # every blob column is sliced per term the same way
+    for name in BLOB_COLUMNS:
+        blob, at = streams[name]
+        cols[name] = _binary_array(blob, at[term_post_offs])
+    for name in SKIP_COLUMNS:
+        cols[name] = _large_list_array(
+            skip.get(name, np.empty(0, dtype=np.int64)), skip_offs)
+    for name in OFFS_COLUMNS + PAY_COLUMNS:
+        if name in streams:
+            blob, at = streams[name]
+            cols[name] = _binary_array(blob, at[term_post_offs])
     return pa.table(cols)
 
 

@@ -1,13 +1,14 @@
-"""Index inspection / re-encode utilities.
+"""Index inspection / conversion utilities.
 
 The Ray-Data analogues of the reference's CLI tools:
 
 - ``dump``    — print terms / postings / docmap / stored columns of an index
   (reference index-dump, utils/index-dump.cpp:55-104).
-- ``convert`` — re-encode an index into a fresh layout (different target
-  segment size / format version), reading committed segments and re-writing
-  them through the merge path (reference index-convert's
-  ``writer->import(reader)``, utils/index-convert.cpp:56-92).
+- ``convert`` — rewrite an index into a fresh layout (different target
+  segment size / storage format), splicing committed segments through the
+  merge path (reference index-convert's ``writer->import(reader)``,
+  utils/index-convert.cpp:56-92): position bytes are copied, never
+  decoded, and re-compressed with the destination format's codecs.
 
 Run: ``python -m iresearch_ray.tools dump --index DIR [--term T] [--limit N]``
      ``python -m iresearch_ray.tools convert --src DIR --dst DIR --target-docs N``
@@ -62,9 +63,10 @@ def dump_index(index_dir: str, generation: int | None = None,
 def convert_index(src_dir: str, dst_dir: str, target_docs: int,
                   generation: int | None = None,
                   index_format: str = "1_0") -> dict:
-    """Re-encode a committed index into ``dst_dir`` with segments packed to
-    ``target_docs`` docs each (masks purged).  Pure re-encode: no
-    re-tokenization, doc order preserved, so queries stay rank-identical.
+    """Rewrite a committed index into ``dst_dir`` with segments packed to
+    ``target_docs`` docs each (masks purged).  A splice through
+    ``merge_segment_tables``: no re-tokenization and no position decode,
+    doc order preserved, so queries stay rank-identical.
     ``index_format`` selects the destination's registered storage format
     (index/formats.py) — conversion BETWEEN formats, like the reference's
     formats::get-driven index-convert."""

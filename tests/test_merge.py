@@ -340,3 +340,141 @@ def test_mixed_feature_merge_roundtrip(ray_session, tmp_path):
     assert np.allclose(
         seg2.norms("norm"),
         np.float32(1) / np.sqrt(np.maximum(dl2, 1).astype(np.float32)))
+
+
+# ---- splice merge, Ray-free: K built segments merge into exactly the
+# segment a one-segment build of the same rows writes ----
+
+SPLICE_DOCS = 600  # three 200-doc segments
+
+
+def _splice_texts():
+    rng = np.random.default_rng(5)
+    fill = ["f0", "f1|a", "f2|bb", "f3"]
+    texts = []
+    for i in range(SPLICE_DOCS):
+        words = list(rng.choice(fill, size=int(rng.integers(1, 8))))
+        words += ["dense|x"] * int(rng.integers(1, 4))
+        if 100 <= i < 300:
+            words.append("blk")  # posting 128 lies in the second input
+        if i in (0, 200):
+            words.append("wide")  # 2nd input's first delta 1 -> 200
+        if i in (199, 340):
+            words.append("narrow")  # local doc 141 -> delta 125 once masked
+        if 400 <= i < 450:
+            words.append("late")  # last input only; the masks delete it
+        if i in (460, 470):
+            words.append("late2")
+        if i % 50 == 7:
+            words += ["f0"] * 150 + ["far"]  # 2-byte position deltas
+        texts.append(" ".join(words))
+    return texts
+
+
+def _build_rows(tmp_path, name, texts, keys, seg_docs, analyzer, feats):
+    """Build ``texts`` as segments of ``seg_docs`` rows (Ray-free)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.index.build import BuildSegmentTask, plan_segments
+    from iresearch_ray.index.segment import SegmentReader
+
+    p = str(tmp_path / f"{name}.parquet")
+    pq.write_table(pa.table({"url": keys, "text": texts}), p,
+                   row_group_size=seg_docs)
+    idx = str(tmp_path / name)
+    task = BuildSegmentTask(idx, analyzer, {}, "text", "url",
+                            index_features=feats)
+    return [SegmentReader(os.path.join(idx, task.build_one(s)["segment_id"]))
+            for s in plan_segments(p, target_docs=seg_docs)]
+
+
+def _assert_same_segment(terms, docmap, stats, reader):
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.index.segment import DOCMAP_FILE, TERMS_FILE
+
+    assert terms.equals(pq.read_table(os.path.join(reader.dir, TERMS_FILE)))
+    assert docmap.equals(pq.read_table(os.path.join(reader.dir, DOCMAP_FILE)))
+    for k in ("num_docs", "sum_doc_len", "max_doc_len", "num_terms"):
+        assert stats[k] == reader.meta[k], k
+
+
+def _doc_bytes(terms, term):
+    i = terms.column("term").to_pylist().index(term)
+    return terms.column("doc_blob")[i].as_py()
+
+
+@pytest.mark.parametrize("analyzer,feats", [
+    ("ascii", ("pos",)), ("ascii", ("pos", "offs")),
+    ("payload-delimiter", ("pos", "pay"))])
+def test_splice_merge_equals_one_segment_build(tmp_path, analyzer, feats):
+    """Merging 3 built segments (plain, and with docmasks) gives the terms
+    table and docmap that one build of the same (surviving) rows writes:
+    a term crossing a 128-posting block between inputs, a term only in
+    the last input, a fully deleted term, and cross-input first doc
+    deltas that need a wider and a narrower varint than the input's own."""
+    from iresearch_ray.index import codec
+    from iresearch_ray.index.merge import merge_segment_tables
+
+    texts = _splice_texts()
+    keys = [f"u{i:04d}" for i in range(SPLICE_DOCS)]
+    parts = _build_rows(tmp_path, "k", texts, keys, 200, analyzer, feats)
+    assert len(parts) == 3
+    [one] = _build_rows(tmp_path, "one", texts, keys, SPLICE_DOCS,
+                        analyzer, feats)
+    terms, docmap, stats, _ = merge_segment_tables(parts)
+    _assert_same_segment(terms, docmap, stats, one)
+    assert [p.lookup("late") >= 0 for p in parts] == [False, False, True]
+    i = one.lookup("blk")
+    assert one.df(i) == 200 and parts[0].df(parts[0].lookup("blk")) == 100
+    assert _doc_bytes(terms, "wide") == bytes(
+        codec.varint_encode(np.array([1, 200])))  # 1 byte -> 2 bytes
+
+    deleted = {0: [4, 51], 1: list(range(1, 17)), 2: list(range(1, 51))}
+    masks = [np.array(deleted[s], dtype=np.int64) for s in range(3)]
+    gone = {s * 200 + d - 1 for s, ds in deleted.items() for d in ds}
+    rows = [r for r in range(SPLICE_DOCS) if r not in gone]
+    [survivors] = _build_rows(tmp_path, "surv", [texts[r] for r in rows],
+                              [keys[r] for r in rows], SPLICE_DOCS,
+                              analyzer, feats)
+    terms, docmap, stats, _ = merge_segment_tables(parts, masks)
+    _assert_same_segment(terms, docmap, stats, survivors)
+    assert "late" not in terms.column("term").to_pylist()
+    # the second input stores 141 (2 bytes); merged it follows doc 198
+    own = parts[1].term_blob("doc_blob", parts[1].lookup("narrow"))
+    assert bytes(own) == bytes(codec.varint_encode(np.array([141])))
+    assert _doc_bytes(terms, "narrow") == bytes(
+        codec.varint_encode(np.array([198, 125])))
+
+
+@pytest.mark.parametrize("column,cut", [
+    ("pos_blob", "truncate"), ("pos_blob", "shift"), ("freq_blob", "flip")])
+def test_corrupt_postings_fail_loudly(tmp_path, column, cut):
+    """A blob row cut short, one byte moved to the next row (same varint
+    count, misaligned term slices), or a continuation bit set in a blob of
+    one-byte values (same length) is a ValueError naming the segment and
+    the column (explicit checks: they hold under ``python -O``)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.index.merge import merge_segment_tables
+    from iresearch_ray.index.segment import TERMS_FILE, SegmentReader
+
+    texts = _splice_texts()[:400]
+    parts = _build_rows(tmp_path, "c", texts, [f"u{i}" for i in range(400)],
+                        200, "ascii", ("pos",))
+    path = os.path.join(parts[1].dir, TERMS_FILE)
+    t = pq.read_table(path)
+    rows = t.column(column).to_pylist()
+    if cut == "flip":
+        rows[3] = bytes([rows[3][0] | 0x80]) + rows[3][1:]
+    else:
+        if cut == "shift":
+            rows[4] = rows[3][-1:] + rows[4]
+        rows[3] = rows[3][:-1]
+    at = t.schema.get_field_index(column)
+    pq.write_table(t.set_column(at, column,
+                                pa.array(rows, pa.large_binary())), path)
+    with pytest.raises(ValueError, match=f"seg-00001.*{column}"):
+        merge_segment_tables([SegmentReader(p.dir) for p in parts])
