@@ -18,7 +18,7 @@ import math
 import os
 import re
 from collections.abc import Callable
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -68,274 +68,84 @@ def _slug(sf_dir: str) -> str:
     return re.sub(r"\W+", "_", os.path.realpath(sf_dir)).strip("_")
 
 
-def _index_reader(sf_dir: str):
-    """Build (or resume) the index over the sf_dir documents table, cached."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.search import IndexReader
+def _doc_id(key: str) -> int:
+    """doc_id from a segment key: ``doc/<id>``-style urls or a bare id."""
+    return int(key.rsplit("/", 1)[-1])
+
+
+def _quarter(n: int) -> int:
+    """Default segment size: about four segments per index."""
+    return max(32, math.ceil(n / 4))
+
+
+def _cached_table(sf_dir: str, name: str, make, row_group_size=None) -> str:
+    """Path of the derived table ``name`` in sf_dir's cache dir, written
+    once (tmp + rename) from ``make(sf_dir)``; a callable
+    ``row_group_size`` sizes the row groups from the built table."""
+    import pyarrow.parquet as pq
+
+    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
+    os.makedirs(cache, exist_ok=True)
+    path = os.path.join(cache, name)
+    if not os.path.exists(path):
+        t = make(sf_dir)
+        if callable(row_group_size):
+            row_group_size = row_group_size(t)
+        tmp = path + ".tmp"
+        pq.write_table(t, tmp, row_group_size=row_group_size,
+                       compression="zstd")
+        os.replace(tmp, path)
+    return path
+
+
+def _pages(sf_dir: str) -> str:
     from iresearch_ray.sources.pages import pages_from_documents
 
-    key = _slug(sf_dir)
-    if key in _READERS:
-        return _READERS[key]
-    import pyarrow.parquet as pq
-
-    cache = os.path.join(_CACHE_ROOT, key)
-    os.makedirs(cache, exist_ok=True)
-    pages_path = os.path.join(cache, "pages.parquet")
-    if not os.path.exists(pages_path):
-        t = pages_from_documents(sf_dir)
-        tmp = pages_path + ".tmp"
-        pq.write_table(t, tmp, row_group_size=max(16, t.num_rows // 8),
-                       compression="zstd")
-        os.replace(tmp, pages_path)
-    n = pq.ParquetFile(pages_path).metadata.num_rows
-    index_dir = os.path.join(cache, "index")
-    build_index(pages_path, index_dir, analyzer="ascii",
-                target_docs=max(32, math.ceil(n / 4)),
-                store_columns=("lang",))
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
+    return _cached_table(sf_dir, "pages.parquet", pages_from_documents,
+                         lambda t: max(16, t.num_rows // 8))
 
 
-def _ngram_reader(sf_dir: str):
-    """Char-2-gram index over the same pages (for by_ngram_similarity)."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.search import IndexReader
-
-    key = _slug(sf_dir) + "_ngram"
-    if key in _READERS:
-        return _READERS[key]
-    _index_reader(sf_dir)  # ensures pages.parquet exists
-    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
-    import pyarrow.parquet as pq
-
-    pages_path = os.path.join(cache, "pages.parquet")
-    n = pq.ParquetFile(pages_path).metadata.num_rows
-    index_dir = os.path.join(cache, "index_ngram")
-    build_index(pages_path, index_dir, analyzer="ngram",
-                analyzer_opts={"min_gram": 2, "max_gram": 2},
-                target_docs=max(32, math.ceil(n / 4)))
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
+def _documents(sf_dir: str) -> str:
+    return os.path.join(sf_dir, "documents.parquet")
 
 
-def _deleted_reader(sf_dir: str):
-    """Separate index copy where docs containing 'dup' are mask-deleted
-    (delete_by_filter) — exercises doc masks through the read path."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.index.delete import delete_by_filter
-    from iresearch_ray.search import IndexReader, TermFilter
-
-    key = _slug(sf_dir) + "_del"
-    if key in _READERS:
-        return _READERS[key]
-    _index_reader(sf_dir)
-    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
-    import pyarrow.parquet as pq
-
-    pages_path = os.path.join(cache, "pages.parquet")
-    n = pq.ParquetFile(pages_path).metadata.num_rows
-    index_dir = os.path.join(cache, "index_del")
-    build_index(pages_path, index_dir, analyzer="ascii",
-                target_docs=max(32, math.ceil(n / 4)))
-    delete_by_filter(index_dir, TermFilter("dup"))
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
-
-
-def _offs_reader(sf_dir: str):
-    """Index with the OFFS posting feature (per-position char offsets,
-    reference field_data::invert offs writer) plus stored text — the
-    highlight_snippets contract query reads spans straight off the
-    postings instead of re-tokenizing."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.search import IndexReader
-
-    key = _slug(sf_dir) + "_offs"
-    if key in _READERS:
-        return _READERS[key]
-    _index_reader(sf_dir)  # ensures pages.parquet exists
-    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
-    import pyarrow.parquet as pq
-
-    pages_path = os.path.join(cache, "pages.parquet")
-    n = pq.ParquetFile(pages_path).metadata.num_rows
-    index_dir = os.path.join(cache, "index_offs")
-    build_index(pages_path, index_dir, analyzer="ascii",
-                target_docs=max(32, math.ceil(n / 4)),
-                index_features=("pos", "offs"), store_columns=("text",))
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
-
-
-def _payload_reader(sf_dir: str):
-    """Index with the PAY posting feature (per-occurrence payload bytes,
-    reference .pay stream formats_10.cpp:345-353 + the payload token
-    attribute) over a derived payload-laced corpus: each doc is
+def _payload_pages(sf_dir: str) -> str:
+    """Payload-laced corpus for the PAY posting feature (per-occurrence
+    payload bytes, reference .pay stream formats_10.cpp:345-353 + the
+    payload token attribute): each doc is
     ``shared|Ab<id%7> x<id%3> SHARED|cD<id%11>`` — the queried term
     occurs twice (once needing a casefold, its payload mixed-case and
     verbatim) with a payload-less token between them that must not
     shift the payload stream."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.search import IndexReader
+    def make(sf_dir):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
 
-    key = _slug(sf_dir) + "_pay"
-    if key in _READERS:
-        return _READERS[key]
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "payload_pages.parquet")
-    if not os.path.exists(path):
-        d = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+        d = pq.read_table(_documents(sf_dir),
                           columns=["doc_id"]).sort_by("doc_id")
         ids = d["doc_id"].to_numpy()
-        t = pa.table({
+        return pa.table({
             "url": pa.array([f"doc/{i}" for i in ids], pa.string()),
             "text": pa.array(
                 [f"shared|Ab{i % 7} x{i % 3} SHARED|cD{i % 11}"
                  for i in ids], pa.string())})
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp, compression="zstd")
-        os.replace(tmp, path)
-    n = pq.ParquetFile(path).metadata.num_rows
-    index_dir = os.path.join(cache, "index_pay")
-    build_index(path, index_dir, analyzer="payload-delimiter",
-                target_docs=max(32, math.ceil(n / 4)),
-                index_features=("pos", "pay"))
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
+
+    return _cached_table(sf_dir, "payload_pages.parquet", make)
 
 
-def _consolidated_reader(sf_dir: str):
-    """Index built as ~8 small segments then tiered-consolidated
-    (reference consolidation, index_writer::consolidate) — query results
-    must be IDENTICAL to an unconsolidated build (global stats and
-    per-doc lengths are segment-layout-invariant), which is exactly what
-    the SQL oracle checks: it never sees segment boundaries."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.index.merge import consolidate
-    from iresearch_ray.search import IndexReader
-
-    key = _slug(sf_dir) + "_consol"
-    if key in _READERS:
-        return _READERS[key]
-    _index_reader(sf_dir)
-    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
-    import pyarrow.parquet as pq
-
-    pages_path = os.path.join(cache, "pages.parquet")
-    n = pq.ParquetFile(pages_path).metadata.num_rows
-    index_dir = os.path.join(cache, "index_consol")
-    build_index(pages_path, index_dir, analyzer="ascii",
-                target_docs=max(8, math.ceil(n / 8)))
-    # merges every run of 2..10 segments under the target; a second call
-    # on the already-consolidated manifest plans no runs and is a no-op
-    man = consolidate(index_dir, target_docs=n)
-    if len(man["segments"]) >= 8:
-        raise RuntimeError("consolidation did not reduce the segment count")
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
-
-
-def _replaced_reader(sf_dir: str):
-    """Update-as-replace (reference documents_context::replace): every doc
-    whose ascii tokens contain 'dup' is atomically replaced — same url
-    key, one manifest generation — by the deterministic 4-token doc
-    'replacement batch doc <doc_id>'.  Masked originals still count in
-    the global stats and term df (same accounting as delete_search);
-    the carried-forward seg-r segments gate the insert on warm caches."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.index.delete import replace_by_filter
-    from iresearch_ray.search import IndexReader, TermFilter
-
-    key = _slug(sf_dir) + "_repl"
-    if key in _READERS:
-        return _READERS[key]
-    _index_reader(sf_dir)
-    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pages_path = os.path.join(cache, "pages.parquet")
-    n = pq.ParquetFile(pages_path).metadata.num_rows
-    index_dir = os.path.join(cache, "index_repl")
-    build_index(pages_path, index_dir, analyzer="ascii",
-                target_docs=max(32, math.ceil(n / 4)))
-    # idempotence rides the manifest itself: replace_by_filter inserts
-    # segments under the 'seg-r<gen>-' prefix in the SAME atomic commit
-    # that masks the originals, and _carry_forward keeps them through
-    # every later resume commit — so their presence (not a side marker a
-    # crash could miss, nor a manifest extra a resume commit drops) gates
-    # the INSERT.  The masks are NOT as durable (a leaf rebuilt by a later
-    # resume loses its docmask), so the mask step re-applies on every
-    # warm pass like _deleted_reader — delete_by_filter is content-
-    # idempotent and re-heals a rebuilt leaf
-    from iresearch_ray.index import manifest as manifest_mod
-    from iresearch_ray.index.delete import delete_by_filter
-
-    man = manifest_mod.load(index_dir)
-    if not any(s["segment_id"].startswith("seg-r")
-               for s in man["segments"]):
-        import pyarrow.compute as pc
-
-        d = pq.read_table(pages_path, columns=["url", "text"])
-        # 'dup' in ascii tokens == 'dup' in lower(text) bounded by
-        # non-[a-z0-9] or string edge (the tokenizer is exactly the
-        # [a-z0-9]+ runs), vectorized in one RE2 pass
-        hit = pc.match_substring_regex(
-            pc.utf8_lower(pc.fill_null(d["text"], "")),
-            "(^|[^a-z0-9])dup([^a-z0-9]|$)")
-        d = d.filter(hit)
-        urls = d["url"].to_pylist()
-        texts = [f"replacement batch doc {_doc_id(u)}" for u in urls]
-        if urls:
-            new_path = os.path.join(cache, "replacement_pages.parquet")
-            tmp = new_path + ".tmp"
-            pq.write_table(pa.table({"url": pa.array(urls, pa.string()),
-                                     "text": pa.array(texts, pa.string())}),
-                           tmp, compression="zstd")
-            os.replace(tmp, new_path)
-            replace_by_filter(index_dir, TermFilter("dup"), new_path,
-                              analyzer="ascii",
-                              target_docs=max(32, math.ceil(n / 4)))
-    else:
-        delete_by_filter(index_dir, TermFilter("dup"))
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
-
-
-def _nested_reader(sf_dir: str):
-    """Block-join index (reference ByNestedFilter layout,
+def _nested_pages(sf_dir: str) -> str:
+    """Block-join corpus (reference ByNestedFilter layout,
     core/search/nested_filter.cpp; Lucene block-join): per document its
-    ascii tokens split into two half-children indexed immediately BEFORE
+    ascii tokens split into two half-children written immediately BEFORE
     one 'parentblock' parent doc.  Row groups are multiples of 3 rows and
     segments are unions of whole row groups, so a block never straddles a
     segment — the layout invariant the filter relies on."""
-    from iresearch_ray.index.build import build_index
-    from iresearch_ray.search import IndexReader
+    def make(sf_dir):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
 
-    key = _slug(sf_dir) + "_nested"
-    if key in _READERS:
-        return _READERS[key]
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    cache = os.path.join(_CACHE_ROOT, _slug(sf_dir))
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "nested_pages.parquet")
-    if not os.path.exists(path):
-        d = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+        d = pq.read_table(_documents(sf_dir),
                           columns=["doc_id", "text"]).sort_by("doc_id")
         toks = pc.split_pattern_regex(
             pc.utf8_lower(pc.fill_null(d["text"], "")), "[^a-z0-9]+")
@@ -349,40 +159,150 @@ def _nested_reader(sf_dir: str):
             h = (len(ts) + 1) // 2  # == SQL ceil(len/2.0)
             urls += [f"child0/{i}", f"child1/{i}", f"parent/{i}"]
             texts += [" ".join(ts[:h]), " ".join(ts[h:]), "parentblock"]
-        t = pa.table({"url": pa.array(urls, type=pa.string()),
-                      "text": pa.array(texts, type=pa.string())})
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp, row_group_size=3 * 64, compression="zstd")
-        os.replace(tmp, path)
-    index_dir = os.path.join(cache, "index_nested")
-    build_index(path, index_dir, analyzer="ascii", target_docs=3 * 128)
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
+        return pa.table({"url": pa.array(urls, type=pa.string()),
+                         "text": pa.array(texts, type=pa.string())})
+
+    return _cached_table(sf_dir, "nested_pages.parquet", make,
+                         row_group_size=3 * 64)
 
 
-def _doc_id(key: str) -> int:
-    return int(key.rsplit("/", 1)[1])
+def _delete_dup(index_dir: str, src: str, n: int) -> None:
+    """Mask-delete every doc containing 'dup' (delete_by_filter) —
+    exercises doc masks through the read path; content-idempotent."""
+    from iresearch_ray.index.delete import delete_by_filter
+    from iresearch_ray.search import TermFilter
+
+    delete_by_filter(index_dir, TermFilter("dup"))
 
 
-def _numeric_reader(sf_dir: str):
-    """Numeric granularity index over documents.n_chars, cached per sf."""
+def _consolidate(index_dir: str, src: str, n: int) -> None:
+    """Tiered consolidation of the ~8 small segments (reference
+    index_writer::consolidate) — query results must be IDENTICAL to an
+    unconsolidated build (global stats and per-doc lengths are
+    segment-layout-invariant), which is exactly what the SQL oracle
+    checks: it never sees segment boundaries."""
+    from iresearch_ray.index.merge import consolidate
+
+    # merges every run of 2..10 segments under the target; a second call
+    # on the already-consolidated manifest plans no runs and is a no-op
+    man = consolidate(index_dir, target_docs=n)
+    if len(man["segments"]) >= 8:
+        raise RuntimeError("consolidation did not reduce the segment count")
+
+
+def _replace_dup(index_dir: str, src: str, n: int) -> None:
+    """Update-as-replace (reference documents_context::replace): every doc
+    whose ascii tokens contain 'dup' is atomically replaced — same url
+    key, one manifest generation — by the deterministic 4-token doc
+    'replacement batch doc <doc_id>'.  Masked originals still count in
+    the global stats and term df (same accounting as delete_search);
+    the carried-forward seg-r segments gate the insert on warm caches."""
+    from iresearch_ray.index import manifest as manifest_mod
+    from iresearch_ray.index.delete import replace_by_filter
+    from iresearch_ray.search import TermFilter
+
+    # idempotence rides the manifest itself: replace_by_filter inserts
+    # segments under the 'seg-r<gen>-' prefix in the SAME atomic commit
+    # that masks the originals, and _carry_forward keeps them through
+    # every later resume commit — so their presence (not a side marker a
+    # crash could miss, nor a manifest extra a resume commit drops) gates
+    # the INSERT.  The masks are NOT as durable (a leaf rebuilt by a later
+    # resume loses its docmask), so the mask step re-applies on every
+    # warm pass like _delete_dup — delete_by_filter is content-
+    # idempotent and re-heals a rebuilt leaf
+    man = manifest_mod.load(index_dir)
+    if not any(s["segment_id"].startswith("seg-r")
+               for s in man["segments"]):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        d = pq.read_table(src, columns=["url", "text"])
+        # 'dup' in ascii tokens == 'dup' in lower(text) bounded by
+        # non-[a-z0-9] or string edge (the tokenizer is exactly the
+        # [a-z0-9]+ runs), vectorized in one RE2 pass
+        hit = pc.match_substring_regex(
+            pc.utf8_lower(pc.fill_null(d["text"], "")),
+            "(^|[^a-z0-9])dup([^a-z0-9]|$)")
+        d = d.filter(hit)
+        urls = d["url"].to_pylist()
+        texts = [f"replacement batch doc {_doc_id(u)}" for u in urls]
+        if urls:
+            new_path = os.path.join(os.path.dirname(index_dir),
+                                    "replacement_pages.parquet")
+            tmp = new_path + ".tmp"
+            pq.write_table(pa.table({"url": pa.array(urls, pa.string()),
+                                     "text": pa.array(texts, pa.string())}),
+                           tmp, compression="zstd")
+            os.replace(tmp, new_path)
+            replace_by_filter(index_dir, TermFilter("dup"), new_path,
+                              analyzer="ascii", target_docs=_quarter(n))
+    else:
+        _delete_dup(index_dir, src, n)
+
+
+class _Variant(NamedTuple):
+    source: Callable[[str], str]  # sf_dir -> parquet path to index
+    build: dict  # build_index kwargs besides target_docs
+    target_docs: Callable[[int], int] = _quarter  # of the source's rows
+    post: Callable[[str, str, int], None] | None = None  # (dir, src, n)
+
+
+# Every index the contract queries read.  Variant ``name`` is cached as
+# _READERS[<slug>_<name>] over <cache>/index_<name>; the plain "" index is
+# <slug> over <cache>/index.  Renaming either orphans warm caches.
+_VARIANTS = {
+    "": _Variant(_pages, {"analyzer": "ascii", "store_columns": ("lang",)}),
+    # char 2-grams for ngram_similarity
+    "ngram": _Variant(_pages, {"analyzer": "ngram", "analyzer_opts": {
+        "min_gram": 2, "max_gram": 2}}),
+    "del": _Variant(_pages, {"analyzer": "ascii"}, post=_delete_dup),
+    # OFFS posting feature (per-position char offsets, reference
+    # field_data::invert offs writer) plus stored text: highlight_snippets
+    # reads spans straight off the postings instead of re-tokenizing
+    "offs": _Variant(_pages, {"analyzer": "ascii",
+                              "index_features": ("pos", "offs"),
+                              "store_columns": ("text",)}),
+    "pay": _Variant(_payload_pages, {"analyzer": "payload-delimiter",
+                                     "index_features": ("pos", "pay")}),
+    # built as ~8 small segments, then consolidated
+    "consol": _Variant(_pages, {"analyzer": "ascii"},
+                       lambda n: max(8, math.ceil(n / 8)), _consolidate),
+    "repl": _Variant(_pages, {"analyzer": "ascii"}, post=_replace_dup),
+    "nested": _Variant(_nested_pages, {"analyzer": "ascii"},
+                       lambda n: 3 * 128),
+    # numeric granularity index over documents.n_chars
+    "nchars": _Variant(_documents, {"analyzer": "numeric",
+                                    "text_column": "n_chars",
+                                    "key_column": "doc_id"}),
+    # keyword index over documents.source, segments sorted by n_chars
+    "kw": _Variant(_documents, {"analyzer": "keyword",
+                                "text_column": "source",
+                                "key_column": "doc_id", "sort_by": "n_chars",
+                                "store_columns": ("n_chars",)}),
+}
+
+
+def _variant_reader(sf_dir: str, name: str = ""):
+    """Build (or resume) the ``_VARIANTS[name]`` index over sf_dir; cached
+    per process in _READERS and on disk under _CACHE_ROOT."""
+    import pyarrow.parquet as pq
+
     from iresearch_ray.index.build import build_index
     from iresearch_ray.search import IndexReader
 
-    key = _slug(sf_dir) + "_nchars"
-    if key in _READERS:
-        return _READERS[key]
-    index_dir = os.path.join(_CACHE_ROOT, _slug(sf_dir), "index_nchars")
-    src = os.path.join(sf_dir, "documents.parquet")
-    import pyarrow.parquet as pq
-
-    n = pq.ParquetFile(src).metadata.num_rows
-    build_index(src, index_dir, analyzer="numeric", text_column="n_chars",
-                key_column="doc_id", target_docs=max(32, math.ceil(n / 4)))
-    reader = IndexReader(index_dir)
-    _READERS[key] = reader
-    return reader
+    slug, sfx = _slug(sf_dir), f"_{name}" if name else ""
+    key = slug + sfx
+    if key not in _READERS:
+        v = _VARIANTS[name]
+        src = v.source(sf_dir)
+        n = pq.ParquetFile(src).metadata.num_rows
+        index_dir = os.path.join(_CACHE_ROOT, slug, "index" + sfx)
+        build_index(src, index_dir, target_docs=v.target_docs(n), **v.build)
+        if v.post is not None:
+            v.post(index_dir, src, n)
+        _READERS[key] = IndexReader(index_dir)
+    return _READERS[key]
 
 
 def _scorer():
@@ -394,10 +314,10 @@ def _scorer():
 def _all_matches(sf_dir: str, flt, with_counts: bool = False,
                  reader=None, prep=None) -> pd.DataFrame:
     """Every match as (doc_id, score[, n_terms]) via per-segment execute.
-    ``prep`` lets a caller pass an already-prepared query (proxy_search
-    re-executes a warmed ProxyFilter memo through this same assembly)."""
+    ``prep`` lets a caller pass an already-prepared query (another scorer,
+    or proxy_search's warmed ProxyFilter memo) through this same assembly."""
     if reader is None:
-        reader = _index_reader(sf_dir)
+        reader = _variant_reader(sf_dir)
     if prep is None:
         prep = flt.prepare(reader, _scorer())
     ids, scores, counts = [], [], []
@@ -447,7 +367,7 @@ def _topk(sf_dir: str, flt, k: int = 10, mode: str = "all") -> pd.DataFrame:
         # with a larger k until the boundary is tie-free or exhausted.
         from iresearch_ray.search import IndexSearcher
 
-        reader = _index_reader(sf_dir)
+        reader = _variant_reader(sf_dir)
         searcher = IndexSearcher(reader, _scorer())
         fetch = 3 * k
         while True:
@@ -580,7 +500,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                      columns=columns)
 
     def term_postings(sf_dir):
-        reader = _index_reader(sf_dir)
+        reader = _variant_reader(sf_dir)
         ids, tfs = [], []
         for seg in reader.segments:
             i = seg.reader.lookup("batch")
@@ -595,7 +515,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def term_dictionary(sf_dir):
         from iresearch_ray.index.build import term_stats_dataset
 
-        reader = _index_reader(sf_dir)  # ensures index exists
+        reader = _variant_reader(sf_dir)  # ensures index exists
         return term_stats_dataset(reader.index_dir).to_pandas()
 
     def top_terms(sf_dir):
@@ -604,19 +524,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 .head(20).reset_index(drop=True))
 
     def numeric_range(sf_dir):
-        from iresearch_ray.search import BoostScore, GranularRangeFilter, IndexSearcher
+        from iresearch_ray.search import BoostScore, GranularRangeFilter
 
-        reader = _numeric_reader(sf_dir)
-        s = IndexSearcher(reader, BoostScore(dtype=np.float64))
-        ids = []
-        prep = GranularRangeFilter(150, 300).prepare(reader, s.scorer)
-        for seg in reader.segments:
-            docs, _ = prep.execute(seg)
-            if len(docs):
-                ids.append(np.array([int(k) for k in seg.reader.keys[docs - 1]],
-                                    dtype=np.int64))
-        out = np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
-        return pd.DataFrame({"doc_id": out})
+        reader = _variant_reader(sf_dir, "nchars")
+        prep = GranularRangeFilter(150, 300).prepare(
+            reader, BoostScore(dtype=np.float64))
+        return _all_matches(sf_dir, None, reader=reader, prep=prep)[["doc_id"]]
 
     def doc_stats(sf_dir):
         out = textstats.quality_stats(ray_docs(sf_dir, ["doc_id", "text"])).to_pandas()
@@ -640,54 +553,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 .aggregate(Count(alias_name="n_docs")).to_pandas())
 
     def term_search_tfidf(sf_dir):
-        from iresearch_ray.search import TFIDF, TermFilter
+        from iresearch_ray.search import TFIDF
 
-        reader = _index_reader(sf_dir)
+        reader = _variant_reader(sf_dir)
         prep = TermFilter("batch").prepare(
             reader, TFIDF(with_norms=True, dtype=np.float64))
-        ids, scores = [], []
-        for seg in reader.segments:
-            docs, sc = prep.execute(seg)
-            if len(docs):
-                keys = seg.reader.keys[docs - 1]
-                ids.append(np.array([_doc_id(k) for k in keys], dtype=np.int64))
-                scores.append(sc)
-        return pd.DataFrame({
-            "doc_id": np.concatenate(ids) if ids else np.empty(0, np.int64),
-            "score": np.round(np.concatenate(scores).astype(np.float64), 4)
-            if scores else pd.Series([], dtype=np.float64),
-        }).sort_values("doc_id").reset_index(drop=True)
+        return _all_matches(sf_dir, None, reader=reader, prep=prep)
 
     def keyword_search(sf_dir):
-        from iresearch_ray.index.build import build_index
-        from iresearch_ray.search import IndexReader, TermFilter
-
-        key = _slug(sf_dir) + "_kw"
-        if key not in _READERS:
-            index_dir = os.path.join(_CACHE_ROOT, _slug(sf_dir), "index_kw")
-            src = os.path.join(sf_dir, "documents.parquet")
-            import pyarrow.parquet as pq
-
-            n = pq.ParquetFile(src).metadata.num_rows
-            build_index(src, index_dir, analyzer="keyword",
-                        text_column="source", key_column="doc_id",
-                        target_docs=max(32, math.ceil(n / 4)),
-                        sort_by="n_chars", store_columns=("n_chars",))
-            _READERS[key] = IndexReader(index_dir)
-        reader = _READERS[key]
-        prep = TermFilter("src3").prepare(reader, _scorer())
-        ids, scores = [], []
-        for seg in reader.segments:
-            docs, sc = prep.execute(seg)
-            if len(docs):
-                ids.append(np.array([int(k) for k in seg.reader.keys[docs - 1]],
-                                    dtype=np.int64))
-                scores.append(sc)
-        return pd.DataFrame({
-            "doc_id": np.concatenate(ids) if ids else np.empty(0, np.int64),
-            "score": np.round(np.concatenate(scores).astype(np.float64), 4)
-            if scores else pd.Series([], dtype=np.float64),
-        }).sort_values("doc_id").reset_index(drop=True)
+        return _all_matches(sf_dir, TermFilter("src3"),
+                            reader=_variant_reader(sf_dir, "kw"))
 
     def classify_labels(sf_dir):
         # hash='md5' routes the fake classifier through md5_number_lower-
@@ -708,7 +583,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         same DuckDB oracle as the driver scan."""
         from iresearch_ray.search.distributed import DistributedSearcher
 
-        reader = _index_reader(sf_dir)  # ensures the index exists
+        reader = _variant_reader(sf_dir)  # ensures the index exists
         s = DistributedSearcher(reader.index_dir, num_groups=2,
                                 scorer=_scorer())
         try:
@@ -723,9 +598,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def sorted_topk(sf_dir):
         from iresearch_ray.search.stored import topk_by_sorted_field
 
-        keyword_search(sf_dir)  # ensures the sorted keyword index exists
-        reader = _READERS[_slug(sf_dir) + "_kw"]
-        top = topk_by_sorted_field(reader, "n_chars", k=10, descending=True)
+        top = topk_by_sorted_field(_variant_reader(sf_dir, "kw"), "n_chars",
+                                   k=10, descending=True)
         return pd.DataFrame({
             "doc_id": np.array([int(k) for k in top["key"]], dtype=np.int64),
             "n_chars": top["n_chars"].astype(np.int64),
@@ -735,10 +609,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from iresearch_ray.search import TermFilter as TF
         from iresearch_ray.search.stored import aggregate_stored
 
-        keyword_search(sf_dir)
-        reader = _READERS[_slug(sf_dir) + "_kw"]
-        out = aggregate_stored(reader, TF("src3"), "n_chars",
-                               aggs=("count", "sum", "avg"))
+        out = aggregate_stored(_variant_reader(sf_dir, "kw"), TF("src3"),
+                               "n_chars", aggs=("count", "sum", "avg"))
         return pd.DataFrame({"n_docs": [int(out["count"])],
                              "sum_chars": [int(out["sum"])],
                              "avg_chars": [round(out["avg"], 4)]})
@@ -746,7 +618,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def facet_lang(sf_dir):
         from iresearch_ray.search.stored import facets
 
-        reader = _index_reader(sf_dir)  # stores lang
+        reader = _variant_reader(sf_dir)  # stores lang
         out = facets(reader, TermFilter("batch"), "lang")
         return pd.DataFrame({"lang": out["value"],
                              "n_docs": out["n_docs"].astype(np.int64)})
@@ -762,44 +634,31 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return _all_matches(sf_dir, SamePositionFilter(["batch", "batch"]))
 
     def multifield_and(sf_dir):
+        import pyarrow.parquet as pq
+
         from iresearch_ray.index.multifield import (
-            Fielded, MultiFieldReader, MultiFieldSearcher, build_multifield,
+            Fielded, MultiFieldReader, build_multifield,
         )
         from iresearch_ray.search import AndFilter, TermFilter
 
         key = _slug(sf_dir) + "_mf"
         if key not in _READERS:
             index_dir = os.path.join(_CACHE_ROOT, _slug(sf_dir), "index_mf")
-            src = os.path.join(sf_dir, "documents.parquet")
-            import pyarrow.parquet as pq
-
+            src = _documents(sf_dir)
             n = pq.ParquetFile(src).metadata.num_rows
             build_multifield(src, index_dir, fields={
                 "text": {"analyzer": "ascii"},
                 "source": {"analyzer": "keyword"},
-            }, key_column="doc_id", target_docs=max(32, math.ceil(n / 4)))
+            }, key_column="doc_id", target_docs=_quarter(n))
             _READERS[key] = MultiFieldReader(index_dir, default_field="text")
-        reader = _READERS[key]
         flt = AndFilter([Fielded("text", TermFilter("batch")),
                          Fielded("source", TermFilter("src3"))])
-        prep = flt.prepare(reader, _scorer())
-        ids, scores = [], []
-        for seg in reader.segments:
-            docs, sc = prep.execute(seg)
-            if len(docs):
-                ids.append(np.array([int(k) for k in seg.reader.keys[docs - 1]],
-                                    dtype=np.int64))
-                scores.append(sc)
-        return pd.DataFrame({
-            "doc_id": np.concatenate(ids) if ids else np.empty(0, np.int64),
-            "score": np.round(np.concatenate(scores).astype(np.float64), 4)
-            if scores else pd.Series([], dtype=np.float64),
-        }).sort_values("doc_id").reset_index(drop=True)
+        return _all_matches(sf_dir, flt, reader=_READERS[key])
 
     def column_existence(sf_dir):
         from iresearch_ray.search import ColumnExistenceFilter
 
-        reader = _index_reader(sf_dir)
+        reader = _variant_reader(sf_dir)
         prep = ColumnExistenceFilter("lang").prepare(reader, _scorer())
         ids, langs = [], []
         for seg in reader.segments:
@@ -819,7 +678,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from iresearch_ray.search import TermFilter
 
         return _all_matches(sf_dir, TermFilter("batch"),
-                            reader=_deleted_reader(sf_dir))
+                            reader=_variant_reader(sf_dir, "del"))
 
     def nested_search(sf_dir):
         """Parent/child block join over the derived nested corpus: each
@@ -828,7 +687,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return _all_matches(sf_dir,
                             NestedFilter(TermFilter("parentblock"),
                                          TermFilter("batch"), merge="sum"),
-                            reader=_nested_reader(sf_dir))
+                            reader=_variant_reader(sf_dir, "nested"))
 
     def consolidate_search(sf_dir):
         """BM25('stream') against the consolidated index — results must be
@@ -836,7 +695,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         segment boundaries), proving the k-way merge preserves postings,
         doc lengths and global stats."""
         return _all_matches(sf_dir, TermFilter("stream"),
-                            reader=_consolidated_reader(sf_dir))
+                            reader=_variant_reader(sf_dir, "consol"))
 
     def replace_search(sf_dir):
         """BM25('batch') after update-as-replace: docs containing 'dup'
@@ -844,7 +703,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         generation; masked originals still count in n/tot/df (the same
         stats accounting delete_search pins)."""
         return _all_matches(sf_dir, TermFilter("batch"),
-                            reader=_replaced_reader(sf_dir))
+                            reader=_variant_reader(sf_dir, "repl"))
 
     def analyzer_pipeline(sf_dir):
         """Composed analyzer chain (reference pipeline_token_stream:
@@ -875,21 +734,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from iresearch_ray.search import NgramSimilarityFilter
 
         qgrams = NgramAnalyzer(min_gram=2, max_gram=2).tokens("stream")
-        reader = _ngram_reader(sf_dir)
-        prep = NgramSimilarityFilter(qgrams, threshold=0.8).prepare(
-            reader, _scorer())
-        ids, scores = [], []
-        for seg in reader.segments:
-            docs, sc = prep.execute(seg)
-            if len(docs):
-                keys = seg.reader.keys[docs - 1]
-                ids.append(np.array([_doc_id(k) for k in keys], dtype=np.int64))
-                scores.append(sc)
-        return pd.DataFrame({
-            "doc_id": np.concatenate(ids) if ids else np.empty(0, np.int64),
-            "sim": np.round(np.concatenate(scores).astype(np.float64), 4)
-            if scores else pd.Series([], dtype=np.float64),
-        }).sort_values("doc_id").reset_index(drop=True)
+        return _all_matches(
+            sf_dir, NgramSimilarityFilter(qgrams, threshold=0.8),
+            reader=_variant_reader(sf_dir, "ngram"),
+        ).rename(columns={"score": "sim"})
 
     def window_tumbling(sf_dir):
         import ray.data
@@ -1340,7 +1188,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         bool_and spec) checks."""
         from iresearch_ray.search import ProxyFilter
 
-        reader = _index_reader(sf_dir)
+        reader = _variant_reader(sf_dir)
         prep = ProxyFilter(AndFilter(
             [TermFilter("batch"), TermFilter("stream")])).prepare(
             reader, _scorer())
@@ -1367,7 +1215,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         payload-less token between them must not shift the stream).
         ``occ`` is the in-doc occurrence ordinal from the decoded
         run offsets."""
-        reader = _payload_reader(sf_dir)
+        reader = _variant_reader(sf_dir, "pay")
         ids, occs, pays_out = [], [], []
         for sv in reader.segments:
             seg = sv.reader
@@ -1398,7 +1246,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the identical ±30-char window."""
         from iresearch_ray.search.highlight import highlight_snippets
 
-        reader = _offs_reader(sf_dir)
+        reader = _variant_reader(sf_dir, "offs")
         gdocs, keys = [], []
         for seg in reader.segments:
             i = seg.reader.lookup("batch")
@@ -1492,7 +1340,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from iresearch_ray.search import OrFilter, TermFilter
         from iresearch_ray.search.executor import mlt_terms
 
-        reader = _index_reader(sf_dir)
+        reader = _variant_reader(sf_dir)
         docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                              columns=["doc_id", "text"])
         seed = docs.filter(pc.equal(docs["doc_id"], 0))["text"][0].as_py()
@@ -2584,7 +2432,7 @@ SELECT m.doc_id, round(
  , 4) AS score
 FROM m, d1, d2, stats s
 """,
-        # block join over the derived nested corpus (see _nested_reader:
+        # block join over the derived nested corpus (see _nested_pages:
         # per doc, two half-token children + one 'parentblock' parent, so
         # n = 3N and tot counts every child token plus one per parent);
         # parent score = SUM of matching children's BM25('batch').

@@ -151,11 +151,6 @@ def band_hashes(signatures: np.ndarray, bands: int) -> np.ndarray:
     return out
 
 
-def signature_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    """MinHash Jaccard estimate: fraction of equal signature components."""
-    return float((sig_a == sig_b).mean())
-
-
 def simhash(token_hashes: np.ndarray, doc_offsets: np.ndarray) -> np.ndarray:
     """64-bit SimHash per doc from concatenated token hashes."""
     n_docs = len(doc_offsets) - 1

@@ -42,6 +42,7 @@ from iresearch_ray.index import manifest as manifest_mod
 from iresearch_ray.index.segment import (META_FILE, TERMS_FILE,
                                           SegmentWriter,
                                           analyzer_config_hash)
+from iresearch_ray.util import StatelessBatchFn
 
 DEFAULT_TARGET_DOCS = 50_000
 TOKENIZE_BATCH_ROWS = 4096
@@ -360,25 +361,11 @@ class BuildSegmentTask:
         return meta
 
 
-class _SegmentTaskFn:
-    """Pickle-friendly stateless wrapper: constructs the (cheap) analyzer
-    lazily per worker process and delegates to BuildSegmentTask."""
-
-    def __init__(self, ctor: dict):
-        self.ctor = ctor
-        self._impl = None
-
-    def __call__(self, batch):
-        if self._impl is None:
-            self._impl = BuildSegmentTask(**self.ctor)
-        return self._impl(batch)
-
-
 def build_index(paths, index_dir: str, analyzer: str = "unicode",
                 analyzer_opts: dict | None = None, text_column: str = "text",
                 key_column: str = "url", target_docs: int = DEFAULT_TARGET_DOCS,
                 concurrency: int | None = None, commit: bool = True,
-                use_actors: bool = False, cpus_per_task: int = 1,
+                cpus_per_task: int = 1,
                 store_columns: tuple = (), segment_prefix: str = "seg-",
                 sort_by: str | None = None,
                 sort_descending: bool = False,
@@ -391,12 +378,10 @@ def build_index(paths, index_dir: str, analyzer: str = "unicode",
     on hosts whose vCPUs are oversubscribed (tokenize+invert is
     memory-bandwidth-bound; fewer concurrent tasks can be faster).
 
-    ``use_actors=False`` (default) runs segment tasks as stateless Ray tasks
-    — our analyzers construct in microseconds, and a per-segment task reuses
+    Segment tasks run as stateless Ray tasks (``util.StatelessBatchFn``):
+    our analyzers construct in microseconds, and a per-segment task reuses
     Ray's prestarted worker pool instead of paying a fresh process spawn +
-    heavy imports per actor.  Flip to True for analyzers with genuinely
-    expensive state (ML models, large stopword/stemmer tables), which is the
-    reference's per-thread analyzer-pool scenario (utils/index-put.cpp:343).
+    heavy imports per actor.
 
     Returns manifest dict; ``manifest['build_stats']`` carries per-segment
     counters including how many segments were skipped by resume.
@@ -423,18 +408,12 @@ def build_index(paths, index_dir: str, analyzer: str = "unicode",
                 sort_descending=sort_descending,
                 index_features=tuple(index_features),
                 index_format=index_format, norm_feature=norm_feature)
-    if use_actors:
-        stats_ds = ds.map_batches(
-            BuildSegmentTask, fn_constructor_kwargs=ctor,
-            batch_size=1, concurrency=min(concurrency, len(specs)),
-            num_cpus=cpus_per_task, batch_format="numpy")
-    else:
-        task = _SegmentTaskFn(ctor)
-        # pass the cap in task mode too: a caller throttling memory-bound
-        # build tasks (concurrency=2) must not be silently autoscaled
-        stats_ds = ds.map_batches(task, batch_size=1, num_cpus=cpus_per_task,
-                                  concurrency=min(concurrency, len(specs)),
-                                  batch_format="numpy")
+    # pass the cap: a caller throttling memory-bound build tasks
+    # (concurrency=2) must not be silently autoscaled
+    stats_ds = ds.map_batches(StatelessBatchFn(BuildSegmentTask, ctor),
+                              batch_size=1, num_cpus=cpus_per_task,
+                              concurrency=min(concurrency, len(specs)),
+                              batch_format="numpy")
     rows = stats_ds.take_all()  # one small row per segment
     rows.sort(key=lambda r: r["segment_id"])
 

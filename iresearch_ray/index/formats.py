@@ -45,9 +45,5 @@ def get_format(name) -> dict:
         ) from None
 
 
-def register_format(name: str, spec: dict) -> None:
-    _FORMATS[name] = dict(spec)
-
-
 def known_formats() -> list[str]:
     return sorted(_FORMATS)

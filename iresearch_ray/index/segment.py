@@ -715,13 +715,6 @@ class SegmentReader:
             self._df_np = cached
         return cached
 
-    def term_max_freq(self, idx: int) -> int:
-        """Whole-list max freq of term row ``idx`` (term-level WAND bound)."""
-        mf = getattr(self, "_max_freq_np", None)
-        if mf is None:
-            mf = self._max_freq_np = self.terms_table["max_freq"].to_numpy()
-        return int(mf[idx])
-
     # -- postings -----------------------------------------------------------
     # decoded-postings LRU: long-lived query serving re-decodes the same
     # hot terms every query; bound by TOTAL cached postings so head terms

@@ -289,9 +289,9 @@ def _wand_union(prep, seg: SegmentView,
     if streak >= 8:
         return prep.execute(seg)
     # one pass per child: cached per-block ub array; its max IS the
-    # term-level bound (score is monotonic in freq), so no separate
-    # term_max_freq scoring.  Short lists decode+score now — exact, tiny,
-    # and reused verbatim by the block path below.
+    # term-level bound (score is monotonic in freq).  Short lists
+    # decode+score now — exact, tiny, and reused verbatim by the block
+    # path below.
     pre: list[tuple | None] = []
     for c in kids:
         # per-child routing: a field-bound child reads ITS sub-index's

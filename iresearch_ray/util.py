@@ -98,8 +98,8 @@ class StatelessBatchFn:
     For stages whose setup is cheap (analyzer construction is
     microseconds), Ray ACTOR pools pay a fresh process spawn + heavy
     imports per pool per pipeline run; plain tasks reuse Ray's prestarted
-    worker pool instead (the same lesson as index/build.py's
-    _SegmentTaskFn).  The wrapped class still constructs once per worker
+    worker pool instead (index/build.py submits its segment build tasks
+    this way).  The wrapped class still constructs once per worker
     process — ``__init__``-style state is preserved, just not per-actor.
 
     Keep REAL actor pools (pass the class to map_batches directly) for

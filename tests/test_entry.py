@@ -193,6 +193,33 @@ def test_entry_smoke(ray_session):
     pd.testing.assert_frame_equal(df, df2)
 
 
+# (_READERS key suffix, index directory) per index variant, as the warm
+# caches on disk name them: a renamed index no longer resumes, it is
+# rebuilt beside the orphaned one
+VARIANT_CACHE_NAMES = {
+    "": ("", "index"), "ngram": ("_ngram", "index_ngram"),
+    "del": ("_del", "index_del"), "offs": ("_offs", "index_offs"),
+    "pay": ("_pay", "index_pay"), "consol": ("_consol", "index_consol"),
+    "repl": ("_repl", "index_repl"), "nested": ("_nested", "index_nested"),
+    "nchars": ("_nchars", "index_nchars"), "kw": ("_kw", "index_kw"),
+}
+
+
+def test_variant_table_is_pinned():
+    assert sorted(entrymod._VARIANTS) == sorted(VARIANT_CACHE_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(entrymod._VARIANTS),
+                         ids=lambda n: n or "plain")
+def test_variant_cache_names_resume(ray_session, name):
+    sfx, dirname = VARIANT_CACHE_NAMES[name]
+    slug = entrymod._slug(SF)
+    reader = entrymod._variant_reader(SF, name)
+    assert reader.index_dir == os.path.join(entrymod._CACHE_ROOT, slug,
+                                            dirname)
+    assert entrymod._READERS[slug + sfx] is reader
+
+
 def test_replace_search_never_double_inserts(ray_session):
     """The external driver re-imports the module per round over a warm
     /tmp cache, and build_index's resume commit drops manifest extras —
