@@ -798,7 +798,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         }).sort_values(["user_id", "session_id"]).reset_index(drop=True)
 
     def dedup_exact(sf_dir):
-        return dedup.exact_dedup_groups(ray_docs(sf_dir, ["doc_id", "text"])).to_pandas()
+        return dedup.exact_dedup_groups(ray_docs(sf_dir, ["doc_id", "text"]),
+                                        hash="md5").to_pandas()
 
     def dedup_fingerprint(sf_dir):
         return dedup.fingerprint_dedup_groups(ray_docs(sf_dir, ["doc_id", "text"])).to_pandas()
@@ -1630,12 +1631,10 @@ def _ivf_oracle_sql(n_rows: int = 500, n_cells: int = 8, iters: int = 10,
     break toward the lowest cell index on both sides (numpy first-max ==
     row_number ... ORDER BY dot DESC, j).
     """
+    from iresearch_ray.analysis.hashing import stable_id_hash
+
     ids = np.arange(n_rows, dtype=np.int64)
-    h = ids.astype(np.uint64).copy()
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    h = h ^ (h >> np.uint64(31))
-    order = np.argsort(h, kind="stable")
+    order = np.argsort(stable_id_hash(ids), kind="stable")
     perm = np.random.default_rng(seed).permutation(n_rows)[:n_cells]
     init_ids = ids[order][perm]
     init_rows = ", ".join(f"({j}, {int(v)})" for j, v in enumerate(init_ids))

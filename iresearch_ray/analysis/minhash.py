@@ -5,97 +5,18 @@ MinHash mirrors the behavior of the reference's MinHashTokenStream
 ComputeSignature): a fixed-size signature of universal-hash minima over the
 token/shingle set, usable both as analyzer output and as the LSH-banding
 input for near-duplicate detection.  All hashing is deterministic across
-processes (pandas siphash with its fixed key + affine universal hashes from
-a seeded generator) — a hard requirement for resumable distributed builds.
+processes (affine universal hashes from a seeded generator over the token
+or shingle hashes) — a hard requirement for resumable distributed builds.
+The string hash kernels live in :mod:`iresearch_ray.analysis.hashing`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+
+from iresearch_ray.analysis.hashing import stable_hash_strings
 
 _MERSENNE = np.uint64((1 << 61) - 1)
-
-
-def stable_hash_strings(values) -> np.ndarray:
-    """Deterministic 64-bit hash of a string array (cross-process stable)."""
-    arr = np.asarray(values, dtype=object)
-    return pd.util.hash_array(arr, categorize=False)
-
-
-def stable_hash_strings128(values) -> "pa.FixedSizeBinaryArray":
-    """128-bit deterministic content hash as fixed_size_binary[16] (two
-    independent 64-bit siphashes — distinct pandas hash keys).  The
-    exact-dedup fast path: vectorized like :func:`stable_hash_strings`,
-    but collision-safe at 10^12 documents where a single 64-bit hash
-    expects ~10^6 birthday collisions (and an exact-dedup collision
-    silently DROPS a unique document).  fixed_size_binary, never a
-    numpy 'S16' view — numpy bytes strip trailing NULs, which would
-    alias keys differing only in trailing zero bytes."""
-    import pyarrow as pa
-
-    packed = _stable128_packed(values)
-    return pa.FixedSizeBinaryArray.from_buffers(
-        pa.binary(16), len(packed), [None, pa.py_buffer(packed.tobytes())])
-
-
-def stable_hash_strings128_hex(values) -> np.ndarray:
-    """The same 128-bit content hash as :func:`stable_hash_strings128`,
-    as a 32-hex-char numpy ``S32`` array — for sorted-membership tests
-    (hex never contains NUL bytes, so numpy's trailing-NUL stripping
-    cannot alias keys)."""
-    import binascii
-
-    packed = _stable128_packed(values)
-    return np.frombuffer(binascii.hexlify(packed.tobytes()), dtype="S32")
-
-
-def _stable128_packed(values) -> np.ndarray:
-    """(n, 2) uint64 of two independent 64-bit hashes.  Backend: polars
-    ``Series.hash`` (vectorized multithreaded xxhash over the Arrow
-    buffers, zero-copy from a pa.Array — 5.1x faster than the per-row C
-    md5 loop on the 100k probe corpus even computing both seeds,
-    measured interleaved); pandas ``hash_array`` when polars is absent.
-    Deterministic across processes within one environment; the key
-    space is backend/version-internal, which is all run-internal group
-    keys need (persisted split/sketch keys use
-    :func:`stable_hash_strings` / :func:`md5_hash_strings` instead)."""
-    import pyarrow as pa
-
-    if isinstance(values, pa.ChunkedArray):
-        values = values.combine_chunks()
-    try:
-        import polars as pl
-
-        s = (pl.from_arrow(values) if isinstance(values, pa.Array)
-             else pl.Series(list(values)))
-        packed = np.empty((len(s), 2), "<u8")
-        packed[:, 0] = s.hash(seed=0).to_numpy()
-        packed[:, 1] = s.hash(seed=0x67726166).to_numpy()
-        return packed
-    except ImportError:
-        arr = (values.to_numpy(zero_copy_only=False)
-               if isinstance(values, pa.Array)
-               else np.asarray(values, dtype=object))
-        packed = np.empty((len(arr), 2), "<u8")
-        packed[:, 0] = pd.util.hash_array(arr, categorize=False)
-        packed[:, 1] = pd.util.hash_array(arr, hash_key="graft_exactdedup",
-                                          categorize=False)
-        return packed
-
-
-def md5_hash_strings(values) -> np.ndarray:
-    """64-bit hash equal to DuckDB's ``md5_number_lower`` (bytes 8..16 of
-    the md5 digest, little-endian) — lets SQL oracles reproduce sketch
-    pipelines exactly.  Python-loop md5: apply to batch DICTIONARIES
-    (unique terms), not per occurrence."""
-    import hashlib
-
-    out = np.empty(len(values), dtype=np.uint64)
-    for i, v in enumerate(values):
-        out[i] = int.from_bytes(hashlib.md5(v.encode()).digest()[8:16],
-                                "little")
-    return out
 
 
 def _affine_params(num_hashes: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:

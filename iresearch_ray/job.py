@@ -165,7 +165,7 @@ def cmd_dedup(a) -> dict:
     def build_op(ds):
         if a.method == "exact":
             return D.exact_dedup_groups(ds, text_column=a.text_column,
-                                        id_column=a.id_column)
+                                        id_column=a.id_column, hash="md5")
         if a.method == "fingerprint":
             return D.fingerprint_dedup_groups(ds, **common)
         if a.method == "simhash":

@@ -26,6 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from iresearch_ray.analysis.hashing import stable_id_hash
 from iresearch_ray.util import pool_size
 
 
@@ -182,19 +183,6 @@ def _spherical_kmeans(sample: np.ndarray, n_cells: int, iters: int = 10,
     return c
 
 
-def _stable_id_hash(ids: np.ndarray) -> np.ndarray:
-    """Deterministic uint64 hash of an id column (int or string)."""
-    if np.issubdtype(ids.dtype, np.integer):
-        # splitmix64 finalizer — uniform, cross-process stable
-        h = ids.astype(np.uint64, copy=True)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return h ^ (h >> np.uint64(31))
-    from iresearch_ray.analysis.minhash import stable_hash_strings
-
-    return stable_hash_strings(ids.astype(object))
-
-
 def scattered_sample(ds, n: int, id_column: str, columns: list[str]) -> pa.Table:
     """Deterministic ~n-row sample SCATTERED across the whole dataset:
     keep rows whose stable id-hash falls under a rate-sized threshold
@@ -209,7 +197,7 @@ def scattered_sample(ds, n: int, id_column: str, columns: list[str]) -> pa.Table
                  else np.uint64(rate * 2.0**64))
 
     def keep(t: pa.Table) -> pa.Table:
-        h = _stable_id_hash(t[id_column].to_numpy(zero_copy_only=False))
+        h = stable_id_hash(t[id_column].to_numpy(zero_copy_only=False))
         t = t.select(columns).append_column(
             "__h", pa.array(h, type=pa.uint64()))
         return t.filter(pa.array(h <= threshold))

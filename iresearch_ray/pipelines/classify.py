@@ -12,17 +12,10 @@ batch inference in ``__call__``, actor-pool sizing) is real: swap
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
+from iresearch_ray.analysis.hashing import FAKE_MODEL_FAMILIES, hash_family
 from iresearch_ray.util import pool_size
-
-
-def _stable_hash(s: str) -> int:
-    h = np.uint64(1469598103934665603)
-    for b in s.encode():
-        h = np.uint64((int(h) ^ b) * 1099511628211 & 0xFFFFFFFFFFFFFFFF)
-    return int(h)
 
 
 class ClassifyBatch:
@@ -40,12 +33,10 @@ class ClassifyBatch:
         # fake-path hash family: 'fnv' (default) or 'md5' — md5 is
         # reproducible in SQL as md5_number_lower, enabling an exact
         # oracle for the fake classifier (the dedup-family pattern)
-        if hash not in ("fnv", "md5"):
-            raise ValueError(f"unknown hash family {hash!r}")
+        self.hasher = hash_family(hash, FAKE_MODEL_FAMILIES).strings64
         self.text_column = text_column
         self.labels = list(labels)
         self.top_k = int(top_k)
-        self.hash = hash
         self.model = None
         if model_path is not None:
             try:
@@ -70,15 +61,8 @@ class ClassifyBatch:
         if self.model is not None:
             preds = [self._predict(t) for t in texts]
         else:
-            # hash the whole batch at once (md5_hash_strings is a batch
-            # kernel; one call per batch, not one per row)
-            if self.hash == "md5":
-                from iresearch_ray.analysis.minhash import md5_hash_strings
-
-                hs = md5_hash_strings(texts)
-            else:
-                hs = [_stable_hash(t) for t in texts]
-            preds = [self._fake_labels(int(h)) for h in hs]
+            # hash the whole batch in one kernel call
+            preds = [self._fake_labels(int(h)) for h in self.hasher(texts)]
         return b.append_column(
             "labels", pa.array(preds, type=pa.list_(pa.string())))
 
@@ -93,14 +77,10 @@ class NearestNeighborsBatch:
                  hash: str = "fnv"):
         from iresearch_ray.analysis import get_analyzer
 
-        # fake-path hash family, same contract as ClassifyBatch: 'fnv'
-        # (default) or 'md5' — md5 is reproducible in SQL as
-        # md5_number_lower, enabling an exact oracle for the fake
-        if hash not in ("fnv", "md5"):
-            raise ValueError(f"unknown hash family {hash!r}")
+        # fake-path hash family, same contract as ClassifyBatch
+        self.hasher = hash_family(hash, FAKE_MODEL_FAMILIES).strings64
         self.text_column = text_column
         self.k = int(k)
-        self.hash = hash
         self.analyzer = get_analyzer(analyzer)
         self.model = None
         if model_path is not None:
@@ -124,18 +104,10 @@ class NearestNeighborsBatch:
                       self.model.get_nearest_neighbors(t, k=self.k)]
                   for ts in tok_lists for t in ts}
         else:
-            # hash each UNIQUE token once per batch (the md5 kernel is a
-            # batch call over the batch dictionary, not one per
-            # occurrence)
+            # hash each UNIQUE token once per batch
             uniq = sorted({t for ts in tok_lists for t in ts})
-            if self.hash == "md5":
-                from iresearch_ray.analysis.minhash import md5_hash_strings
-
-                hs = md5_hash_strings(uniq)
-            else:
-                hs = [_stable_hash(t) for t in uniq]
             nb = {t: self._fake_neighbors(t, int(h))
-                  for t, h in zip(uniq, hs)}
+                  for t, h in zip(uniq, self.hasher(uniq))}
         out = [[n for t in ts for n in nb[t]] for ts in tok_lists]
         return b.append_column(
             "neighbor_tokens", pa.array(out, type=pa.list_(pa.string())))
@@ -145,6 +117,7 @@ def classify(ds, text_column: str = "text", labels=("news", "sports", "tech",
                                                     "other"),
              top_k: int = 1, concurrency: int | None = None,
              batch_size: int = 256, hash: str = "fnv"):
+    hash_family(hash, FAKE_MODEL_FAMILIES)  # at call time, not in an actor
     return ds.map_batches(
         ClassifyBatch,
         fn_constructor_kwargs=dict(text_column=text_column,
@@ -157,6 +130,7 @@ def classify(ds, text_column: str = "text", labels=("news", "sports", "tech",
 def nearest_neighbors(ds, text_column: str = "text", k: int = 2,
                       concurrency: int | None = None, batch_size: int = 256,
                       hash: str = "fnv"):
+    hash_family(hash, FAKE_MODEL_FAMILIES)  # at call time, not in an actor
     return ds.map_batches(
         NearestNeighborsBatch,
         fn_constructor_kwargs=dict(text_column=text_column, k=k, hash=hash),

@@ -11,7 +11,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from iresearch_ray.analysis.minhash import md5_hash_strings
+from iresearch_ray.analysis.hashing import hash_family
 from iresearch_ray.util import pool_size
 
 SPLIT_BUCKETS = 10_000
@@ -45,8 +45,6 @@ def hash_split(ds, ratios=(0.98, 0.01, 0.01),
     """
     import warnings
 
-    from iresearch_ray.analysis.minhash import stable_hash_strings
-
     if hash is None:
         warnings.warn(
             "hash_split: no hash= given, using 'stable', which draws "
@@ -54,8 +52,7 @@ def hash_split(ds, ratios=(0.98, 0.01, 0.01),
             "hash='stable' or hash='md5' explicitly",
             FutureWarning, stacklevel=2)
         hash = "stable"
-    if hash not in ("md5", "stable"):
-        raise ValueError(f"unknown hash family {hash!r}")
+    hash_fn = hash_family(hash).strings64
     if len(ratios) != len(names):
         raise ValueError("ratios and names must align")
     cum = np.cumsum(np.asarray(ratios, dtype=np.float64))
@@ -64,7 +61,6 @@ def hash_split(ds, ratios=(0.98, 0.01, 0.01),
     bounds = np.round(cum * SPLIT_BUCKETS).astype(np.int64)
     bounds[-1] = SPLIT_BUCKETS
     labels = list(names)
-    hash_fn = md5_hash_strings if hash == "md5" else stable_hash_strings
 
     def assign(b: pa.Table) -> pa.Table:
         col = b[id_column]

@@ -13,25 +13,19 @@ Scale notes (designed for 100 TB corpora):
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from iresearch_ray.analysis import get_analyzer
+from iresearch_ray.analysis.hashing import hash_family, md5_hex_strings
 from iresearch_ray.util import StatelessBatchFn, nul_safe_factorize, pool_size
 from iresearch_ray.analysis.minhash import (
     band_hashes,
     minhash_signatures,
     shingles,
     simhash,
-    stable_hash_strings,
 )
-
-
-def _md5_hex(values: list[str]) -> list[str]:
-    return [hashlib.md5(v.encode()).hexdigest() for v in values]
 
 
 def _shingle_hashes_per_doc(texts, analyzer, k: int, hasher):
@@ -45,6 +39,19 @@ def _shingle_hashes_per_doc(texts, analyzer, k: int, hasher):
         offsets[i + 1] = len(all_sh)
     hashes = hasher(all_sh) if all_sh else np.empty(0, np.uint64)
     return hashes, offsets
+
+
+def _coded_token_hashes(analyzer, col, hasher):
+    """Per-occurrence uint64 token hashes of a text column plus per-doc
+    offsets (len+1): the batch DICTIONARY is hashed once and gathered —
+    the shared front half of the rolling-hash and simhash stages."""
+    from iresearch_ray.pipelines.textstats import _coded_tokens
+
+    codes, dict_np, _, doc_len = _coded_tokens(analyzer, col)
+    offs = np.zeros(len(doc_len) + 1, dtype=np.int64)
+    np.cumsum(doc_len, out=offs[1:])
+    th = hasher(dict_np)[codes] if len(dict_np) else np.empty(0, np.uint64)
+    return th, offs
 
 
 def _csr_intersect_counts(flat: np.ndarray, offs: np.ndarray,
@@ -453,7 +460,7 @@ def _sketch_checkpoint(sk, ckpt: str, params: dict):
 
 
 def exact_dedup_groups(ds, text_column: str = "text",
-                       id_column: str = "doc_id", hash: str = "md5"):
+                       id_column: str = "doc_id", hash: str | None = None):
     """Group exact duplicates: -> (text_hash, dup_count, keep_id=min id).
 
     Hash inside map_batches (only hash+id leave the node), then one
@@ -466,22 +473,23 @@ def exact_dedup_groups(ds, text_column: str = "text",
     siphash pair as fixed_size_binary[16] (half the shuffle payload of
     the hex string).  Both are exact — identical texts always collide,
     and 128 bits keeps accidental collisions negligible at 10^12 docs;
-    they just aren't the SAME key space."""
-    from iresearch_ray.analysis.minhash import stable_hash_strings128
+    they just aren't the SAME key space.  The ``'md5'`` default will
+    become ``'stable'`` (ingest's and every sketch pipeline's default), so
+    omitting ``hash`` emits a ``FutureWarning``: pin it to keep the keys."""
+    if hash is None:
+        import warnings
 
-    if hash not in ("md5", "stable"):
-        raise ValueError(f"hash must be 'md5' or 'stable', got {hash!r}")
+        warnings.warn(
+            "exact_dedup_groups: no hash= given, using 'md5'; the default "
+            "will become 'stable', which emits different text_hash keys; "
+            "pass hash='md5' or hash='stable' explicitly",
+            FutureWarning, stacklevel=2)
+        hash = "md5"
+    content_key = hash_family(hash).content_key
 
     def hash_batch(b: pa.Table) -> pa.Table:
-        if hash == "stable":
-            # the Arrow column goes straight to the vectorized hasher
-            key = stable_hash_strings128(b[text_column])
-        else:
-            # explicit type: an empty block would infer null and break
-            # schema unification under the downstream range sort
-            key = pa.array(_md5_hex(b[text_column].to_pylist()),
-                           type=pa.string())
-        return pa.table({"text_hash": key, id_column: b[id_column]})
+        return pa.table({"text_hash": content_key(b[text_column]),
+                         id_column: b[id_column]})
 
     hashed = ds.map_batches(hash_batch, batch_format="pyarrow")
     return _grouped_count_min(hashed, "text_hash", id_column)
@@ -497,8 +505,8 @@ def fingerprint_dedup_groups(ds, text_column: str = "text",
             self.analyzer = get_analyzer(analyzer)
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            fps = [hashlib.md5(" ".join(sorted(self.analyzer.tokens(t))).encode()).hexdigest()
-                   for t in b[text_column].to_pylist()]
+            fps = md5_hex_strings(" ".join(sorted(self.analyzer.tokens(t)))
+                                  for t in b[text_column].to_pylist())
             return pa.table({"fingerprint": pa.array(fps, type=pa.string()),
                              id_column: b[id_column]})
 
@@ -511,14 +519,14 @@ class MinHashBatch:
     Run via StatelessBatchFn (cheap analyzer state, once per worker)."""
 
     def __init__(self, text_column, id_column, analyzer, num_hashes, bands,
-                 shingle_k, hash="stable"):
+                 shingle_k, hasher):
         self.text_column = text_column
         self.id_column = id_column
         self.analyzer = get_analyzer(analyzer)
         self.num_hashes = num_hashes
         self.bands = bands
         self.shingle_k = shingle_k
-        self.hasher = _term_hasher(hash)
+        self.hasher = hasher
 
     def __call__(self, b: pa.Table) -> pa.Table:
         texts = b[self.text_column].to_pylist()
@@ -599,11 +607,12 @@ def minhash_lsh_pairs(ds, text_column: str = "text", id_column: str = "doc_id",
     import ray
     import ray.data
 
+    hasher = hash_family(hash).strings64
     sk = ds.map_batches(
         StatelessBatchFn(MinHashBatch, dict(
             text_column=text_column, id_column=id_column, analyzer=analyzer,
             num_hashes=num_hashes, bands=bands, shingle_k=shingle_k,
-            hash=hash)),
+            hasher=hasher)),
         batch_format="pyarrow",
         concurrency=pool_size(concurrency) if concurrency else None)
     # checkpoint the (corpus-small, but not driver-small) sketches to
@@ -691,13 +700,12 @@ class ShingleSetBatch:
     docs are dropped (empty set: Jaccard undefined).  Run via
     StatelessBatchFn (cheap analyzer state, once per worker)."""
 
-    def __init__(self, text_column, id_column, analyzer, shingle_k,
-                 hash="stable"):
+    def __init__(self, text_column, id_column, analyzer, shingle_k, hasher):
         self.text_column = text_column
         self.id_column = id_column
         self.analyzer = get_analyzer(analyzer)
         self.shingle_k = shingle_k
-        self.hasher = _term_hasher(hash)
+        self.hasher = hasher
 
     def __call__(self, b: pa.Table) -> pa.Table:
         texts = b[self.text_column].to_pylist()
@@ -782,10 +790,11 @@ def ngram_jaccard_pairs(ds, text_column: str = "text",
 
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
+    hasher = hash_family(hash).strings64
     sk = ds.map_batches(
         StatelessBatchFn(ShingleSetBatch, dict(
             text_column=text_column, id_column=id_column, analyzer=analyzer,
-            shingle_k=shingle_k, hash=hash)),
+            shingle_k=shingle_k, hasher=hasher)),
         batch_format="pyarrow",
         concurrency=pool_size(concurrency) if concurrency else None)
     sch = ds.schema()
@@ -1013,17 +1022,6 @@ def ngram_jaccard_pairs(ds, text_column: str = "text",
         "jaccard": pd.Series(out_j, dtype=np.float64)}))
 
 
-def _term_hasher(name: str):
-    """Token-hash family: 'stable' (fast pandas hash) or 'md5'
-    (reproducible in SQL as DuckDB md5_number_lower, enabling exact
-    oracles for sketch pipelines)."""
-    if name == "md5":
-        from iresearch_ray.analysis.minhash import md5_hash_strings
-
-        return md5_hash_strings
-    return stable_hash_strings
-
-
 def rolling_doc_fingerprints(ds, text_column: str = "text",
                              id_column: str = "doc_id",
                              analyzer: str = "ascii", k: int = 5,
@@ -1037,21 +1035,16 @@ def rolling_doc_fingerprints(ds, text_column: str = "text",
     Arrow fast path, hashes the small batch DICTIONARY once and gathers
     per-occurrence hashes, then runs the vectorized rolling kernel."""
     from iresearch_ray.analysis.minhash import rolling_fingerprints
-    from iresearch_ray.pipelines.textstats import _coded_tokens
 
-    hasher = _term_hasher(hash)
+    hasher = hash_family(hash).strings64
 
     class FpBatch:
         def __init__(self):
             self.analyzer = get_analyzer(analyzer)
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            codes, dict_np, _, doc_len = _coded_tokens(
-                self.analyzer, b[text_column])
-            offs = np.zeros(len(doc_len) + 1, dtype=np.int64)
-            np.cumsum(doc_len, out=offs[1:])
-            th = (hasher(dict_np)[codes] if len(dict_np)
-                  else np.empty(0, np.uint64))
+            th, offs = _coded_token_hashes(self.analyzer, b[text_column],
+                                           hasher)
             d, f = rolling_fingerprints(th, offs, k=k, sample_mod=sample_mod)
             ids = b[id_column].to_numpy(zero_copy_only=False)
             # explicit id type: an all-tokenless batch yields an empty
@@ -1091,8 +1084,8 @@ def contamination_check(ds, probe_texts, text_column: str = "text",
     import ray
     import ray.data
 
+    hasher = hash_family(hash).strings64
     ana = get_analyzer(analyzer)
-    hasher = _term_hasher(hash)
     if hasattr(probe_texts, "to_pandas"):  # small Dataset probe side
         probe_texts = probe_texts.to_pandas()[text_column].tolist()
     probe_shingles: list[str] = []
@@ -1105,13 +1098,12 @@ def contamination_check(ds, probe_texts, text_column: str = "text",
     class ContaminationBatch:
         def __init__(self):
             self.analyzer = get_analyzer(analyzer)
-            self.hasher = _term_hasher(hash)
 
         def __call__(self, b: pa.Table) -> pa.Table:
             texts = b[text_column].to_pylist()
             ids = b[id_column].to_numpy(zero_copy_only=False)
             hashes, offsets = _shingle_hashes_per_doc(
-                texts, self.analyzer, shingle_k, self.hasher)
+                texts, self.analyzer, shingle_k, hasher)
             hit = _sorted_member(ray.get(probe_ref), hashes)
             # distinct-shingle accounting per doc (matches the set
             # semantics of the SQL oracle)
@@ -1144,22 +1136,15 @@ def simhash_groups(ds, text_column: str = "text", id_column: str = "doc_id",
                    analyzer: str = "ascii", concurrency: int | None = None,
                    hash: str = "stable"):
     """Exact-bucket SimHash dedup: -> (simhash, dup_count, keep_id)."""
-    from iresearch_ray.pipelines.textstats import _coded_tokens
-
-    hasher = _term_hasher(hash)
+    hasher = hash_family(hash).strings64
 
     class SimBatch:
         def __init__(self):
             self.analyzer = get_analyzer(analyzer)
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            codes, dict_np, _, doc_len = _coded_tokens(
-                self.analyzer, b[text_column])
-            offs = np.zeros(len(doc_len) + 1, dtype=np.int64)
-            np.cumsum(doc_len, out=offs[1:])
-            th = (hasher(dict_np)[codes] if len(dict_np)
-                  else np.empty(0, np.uint64))
-            sh = simhash(th, offs)
+            sh = simhash(*_coded_token_hashes(self.analyzer, b[text_column],
+                                              hasher))
             return pa.table({"simhash": pa.array(sh.view(np.int64)),
                              id_column: b[id_column]})
 
@@ -1532,7 +1517,7 @@ class _SpanHashBatch:
     equality is exact k-gram equality (up to the 64-bit hash).  Only
     (hash, id) rows ever leave the node — never document text."""
 
-    def __init__(self, text_column, id_column, analyzer, k, hash,
+    def __init__(self, text_column, id_column, analyzer, k, hasher,
                  analyzer_opts=None):
         from iresearch_ray.analysis import get_analyzer as _ga
 
@@ -1540,18 +1525,13 @@ class _SpanHashBatch:
         self.id_column = id_column
         self.analyzer = _ga(analyzer, **(analyzer_opts or {}))
         self.k = k
-        self.hasher = _term_hasher(hash)
+        self.hasher = hasher
 
     def __call__(self, b: pa.Table) -> pa.Table:
         from iresearch_ray.analysis.minhash import rolling_fingerprints
-        from iresearch_ray.pipelines.textstats import _coded_tokens
 
-        codes, dict_np, _, doc_len = _coded_tokens(
-            self.analyzer, b[self.text_column])
-        offs = np.zeros(len(doc_len) + 1, dtype=np.int64)
-        np.cumsum(doc_len, out=offs[1:])
-        th = (self.hasher(dict_np)[codes] if len(dict_np)
-              else np.empty(0, np.uint64))
+        th, offs = _coded_token_hashes(self.analyzer, b[self.text_column],
+                                       self.hasher)
         d, h = rolling_fingerprints(th, offs, k=self.k, sample_mod=1)
         ids = b[self.id_column].to_numpy(zero_copy_only=False)
         # explicit id type: an all-tokenless batch yields an empty object
@@ -1590,10 +1570,11 @@ def duplicated_spans(ds, text_column: str = "text", id_column: str = "doc_id",
     boundary-run repair merges the edge pieces through
     <=2-rows-per-block driver partials; interior runs combine locally.
     """
+    hasher = hash_family(hash).strings64
     spans = ds.map_batches(
         StatelessBatchFn(_SpanHashBatch, dict(
             text_column=text_column, id_column=id_column, analyzer=analyzer,
-            k=k, hash=hash, analyzer_opts=analyzer_opts)),
+            k=k, hasher=hasher, analyzer_opts=analyzer_opts)),
         batch_format="pyarrow",
         concurrency=pool_size(concurrency) if concurrency else None)
 
@@ -1630,6 +1611,7 @@ def duplicated_span_stats(ds, text_column: str = "text",
     """
     import ray
 
+    hasher = hash_family(hash).strings64
     dup = duplicated_spans(ds, text_column=text_column, id_column=id_column,
                            analyzer=analyzer, k=k, min_docs=min_docs,
                            hash=hash, concurrency=concurrency,
@@ -1673,7 +1655,7 @@ def duplicated_span_stats(ds, text_column: str = "text",
     return ds.map_batches(
         StatelessBatchFn(StatsBatch, dict(
             text_column=text_column, id_column=id_column, analyzer=analyzer,
-            k=k, hash=hash, analyzer_opts=analyzer_opts)),
+            k=k, hasher=hasher, analyzer_opts=analyzer_opts)),
         batch_format="pyarrow",
         concurrency=pool_size(concurrency) if concurrency else None)
 
@@ -2047,6 +2029,7 @@ def dedup_corpus(ds, pairs=None, id_column: str = "doc_id",
     """
     import ray
 
+    hash_family(hash)  # checked even when pairs= leaves it unused
     if pairs is None:
         pairs = minhash_lsh_pairs(
             ds, text_column=text_column, id_column=id_column,

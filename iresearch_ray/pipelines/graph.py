@@ -574,7 +574,7 @@ def filter_by_domain_rank(ds, ranks, min_rank_units: int,
     driver never materializes the node strings in either shape."""
     import pyarrow.compute as pc
 
-    from iresearch_ray.analysis.minhash import _stable128_packed
+    from iresearch_ray.analysis.hashing import stable_hash_strings128_packed
     from iresearch_ray.pipelines.curate import extract_domain
     from iresearch_ray.pipelines.dedup import _sorted_member
 
@@ -620,7 +620,7 @@ def filter_by_domain_rank(ds, ranks, min_rank_units: int,
     # hash-partitioned membership: kept nodes -> (h1, h2) -> h1 sort ->
     # P numeric blocks; O(P) driver metadata
     def to_hash(b: pa.Table) -> pa.Table:
-        packed = _stable128_packed(b["node"])
+        packed = stable_hash_strings128_packed(b["node"])
         return pa.table({"h1": pa.array(packed[:, 0], pa.uint64()),
                          "h2": pa.array(packed[:, 1], pa.uint64())})
 
@@ -645,7 +645,7 @@ def filter_by_domain_rank(ds, ranks, min_rank_units: int,
         n = len(doms)
         if n == 0:
             return b.drop_columns(["_rank_domain"])
-        q = _stable128_packed(doms)
+        q = stable_hash_strings128_packed(doms)
         q1, q2 = q[:, 0], q[:, 1]
         route = np.clip(
             np.searchsorted(starts, q1, side="right") - 1, 0, P - 1)

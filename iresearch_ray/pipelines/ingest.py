@@ -23,7 +23,9 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from iresearch_ray.analysis.hashing import hash_family
 from iresearch_ray.index.build import build_index
+from iresearch_ray.pipelines.dedup import _sorted_member
 from iresearch_ray.sources.pages import extract_text_batch
 
 
@@ -32,8 +34,6 @@ def _drop_ids(stream, sorted_ids: np.ndarray, key_column: str):
     the broadcast + clamped-searchsorted membership idiom, shared by the
     near-dup and span-duplication drop stages."""
     import ray
-
-    from iresearch_ray.pipelines.dedup import _sorted_member
 
     ref = ray.put(sorted_ids)
 
@@ -112,9 +112,7 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
         raise ValueError(f"span_dup_max must be in [0, 1], got {span_dup_max}")
     if domain_cap is not None and domain_cap < 1:
         raise ValueError(f"domain_cap must be >= 1, got {domain_cap}")
-    if dedup_hash not in ("stable", "md5"):
-        raise ValueError(f"dedup_hash must be 'stable' or 'md5', "
-                         f"got {dedup_hash!r}")
+    family = hash_family(dedup_hash)
     staged = os.path.join(work_dir, "staged")
     index_dir = os.path.join(work_dir, "index")
     counters_path = os.path.join(work_dir, "ingest.json")
@@ -180,53 +178,27 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
             # them from a second hash pass filtered to duplicated hashes
             # (both passes ship only (hash, id) pairs)
             if dup_groups:
-                import binascii
-
-                from iresearch_ray.analysis.minhash import (
-                    stable_hash_strings128_hex,
-                )
-                from iresearch_ray.pipelines.dedup import _md5_hex
-
-                # both key spaces flow through 32-hex-char S32 arrays
-                # (hex has no NUL bytes, so numpy 'S' storage is safe)
-                if dedup_hash == "stable":
-                    def _hash_np(col):
-                        return stable_hash_strings128_hex(col)
-
-                    raw = [binascii.hexlify(g["text_hash"])
-                           for g in dup_groups]
-                else:
-                    def _hash_np(col):
-                        return np.array(_md5_hex(col.to_pylist()),
-                                        dtype="S32")
-
-                    raw = [g["text_hash"] for g in dup_groups]
+                # both key spaces flow through 32-hex-char S32 arrays;
                 # sorted fixed-width arrays -> searchsorted membership (no
                 # per-row Python set lookups), same shape as dedup.keep_hot
-                dup_hash_arr = np.sort(np.array(raw, dtype="S32"))
-                keep_arr = np.sort(np.array(
-                    [g["keep_id"] for g in dup_groups]))
-                hashes_ref = ray.put(dup_hash_arr)
-                keep_ref = ray.put(keep_arr)
-
-                def _member_mask(sorted_arr, values):
-                    at = np.searchsorted(sorted_arr, values)
-                    at[at == len(sorted_arr)] = 0
-                    return sorted_arr[at] == values
+                hashes_ref = ray.put(np.sort(family.key_hex(
+                    [g["text_hash"] for g in dup_groups])))
+                keep_ref = ray.put(np.sort(np.array(
+                    [g["keep_id"] for g in dup_groups])))
 
                 def drop_dups(b: pa.Table) -> pa.Table:
                     if not b.num_rows:
                         return b
                     hs = ray.get(hashes_ref)
                     kp = ray.get(keep_ref)
-                    h = _hash_np(b["text"])
-                    is_dup = _member_mask(hs, h)
+                    is_dup = _sorted_member(
+                        hs, family.content_hex(b["text"]))
                     mask = ~is_dup
                     if is_dup.any():  # survivors: each group's keep_id
                         # no astype: numpy compares mixed-width unicode
                         # exactly; a width cast could truncate long ids
                         ids = np.asarray(b[key_column].to_pylist())
-                        mask[is_dup] = _member_mask(kp, ids[is_dup])
+                        mask[is_dup] = _sorted_member(kp, ids[is_dup])
                     return b.filter(pa.array(mask))
 
                 extracted = extracted.map_batches(drop_dups,

@@ -392,10 +392,10 @@ def keyterms(ds, n_terms: int = 3, text_column="text", id_column="doc_id",
     """
     import ray
 
-    from iresearch_ray.pipelines.dedup import _term_hasher
+    from iresearch_ray.analysis.hashing import hash_family
 
+    hasher = hash_family(hash).strings64
     ds = _materialize_derived(ds)
-    hasher = _term_hasher(hash)
     # pass 1: (term, df) partials -> small groupby -> broadcast hash map
     df_tbl = term_frequencies(ds, text_column=text_column,
                               analyzer=analyzer,
@@ -420,7 +420,6 @@ def keyterms(ds, n_terms: int = 3, text_column="text", id_column="doc_id",
     class KeyTermBatch:
         def __init__(self):
             self.analyzer = get_analyzer(analyzer)
-            self.hasher = _term_hasher(hash)
 
         def __call__(self, b: pa.Table) -> pa.Table:
             codes, dict_np, doc_idx, doc_len = _coded_tokens(
@@ -434,7 +433,7 @@ def keyterms(ds, n_terms: int = 3, text_column="text", id_column="doc_id",
             uq, tf = np.unique(doc_idx * D + codes, return_counts=True)
             udoc, ucode = uq // D, uq % D
             th_sorted, df_sorted = ray.get(df_ref)
-            bh = self.hasher(dict_np)
+            bh = hasher(dict_np)
             if len(th_sorted):
                 pos = np.searchsorted(th_sorted, bh)
                 pos[pos == len(th_sorted)] = 0

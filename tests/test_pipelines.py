@@ -8,11 +8,11 @@ import pytest
 import ray.data
 
 from iresearch_ray.analysis import get_analyzer
+from iresearch_ray.analysis.hashing import stable_hash_strings
 from iresearch_ray.analysis.minhash import (
     minhash_signatures,
     shingles,
     simhash,
-    stable_hash_strings,
 )
 from iresearch_ray.pipelines import ann, dedup, multimodal, textstats
 
@@ -32,7 +32,13 @@ def docs_pdf():
 
 
 def test_exact_dedup(docs, docs_pdf):
-    out = dedup.exact_dedup_groups(docs).to_pandas()
+    # the md5 default is staged to become 'stable': omitting hash= warns
+    with pytest.warns(FutureWarning, match="hash="):
+        out = dedup.exact_dedup_groups(docs).to_pandas()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        for mode in ("md5", "stable"):
+            dedup.exact_dedup_groups(docs, hash=mode)
     exp = docs_pdf.groupby(docs_pdf["text"]).agg(
         dup_count=("doc_id", "size"), keep_id=("doc_id", "min"))
     assert len(out) == len(exp)
@@ -73,7 +79,7 @@ def test_stable128_hex_matches_binary(ray_session):
     bytes carry leading/trailing NULs (the numpy 'S' aliasing hazard)."""
     import binascii
 
-    from iresearch_ray.analysis.minhash import (
+    from iresearch_ray.analysis.hashing import (
         stable_hash_strings128,
         stable_hash_strings128_hex,
     )
@@ -461,8 +467,9 @@ def test_nearest_neighbors_hash_modes(ray_session):
 
     import ray
 
+    from iresearch_ray.analysis.hashing import fnv1a64 as _stable_hash
     from iresearch_ray.pipelines.classify import (
-        NearestNeighborsBatch, _stable_hash, nearest_neighbors)
+        NearestNeighborsBatch, nearest_neighbors)
 
     ds = ray.data.from_items([
         {"doc_id": 1, "text": "Alpha beta ALPHA"},
@@ -658,10 +665,7 @@ def test_ivf_index_prunes_reads_and_matches_scan(ray_session, tmp_path):
 def test_rolling_doc_fingerprints_matches_reference(docs, docs_pdf):
     """The distributed map_batches fingerprint pipeline must reproduce the
     single-process rolling-hash reference exactly."""
-    from iresearch_ray.analysis.minhash import (
-        rolling_fingerprints,
-        stable_hash_strings,
-    )
+    from iresearch_ray.analysis.minhash import rolling_fingerprints
 
     out = dedup.rolling_doc_fingerprints(docs).to_pandas()
     out = out.sort_values(["doc_id", "fingerprint"]).reset_index(drop=True)
