@@ -120,8 +120,8 @@ class RegexTokenizer(Analyzer):
         elif kind == "ascii":
             self._pat = re.compile(r"[a-z0-9]+")
             # enables the zero-Python-object Arrow tokenize fast path
-            # (flatten_batch_arrow); RE2 [^a-z0-9]+ splits identically to
-            # findall('[a-z0-9]+') on lowered text
+            # (flatten_batch_arrow): splitting lowered text at every byte
+            # outside [a-z0-9] equals findall('[a-z0-9]+') on it
             self.arrow_split_pattern = "[^a-z0-9]+" if lowercase else None
         elif kind == "icu":
             self._pat = re.compile(_ICU_FALLBACK_PATTERN)
@@ -453,34 +453,51 @@ def _coded_batch(codes: np.ndarray, dict_np: np.ndarray, doc_len: np.ndarray,
 def flatten_batch_arrow(analyzer: Analyzer, texts) -> dict[str, np.ndarray]:
     """Arrow-native tokenize: text column -> the coded form (``_coded_batch``).
 
-    All heavy work (case fold, regex split, flatten, dictionary hash) runs in
-    Arrow C kernels — no per-token Python objects, which is what keeps the
-    build memory-bandwidth-friendly at high task concurrency.  Only usable
-    when ``analyzer.arrow_split_pattern`` is set (the deterministic ascii
-    word tokenizer) and no feature beyond ``pos`` is indexed; its output
-    equals ``flatten_batch``'s, codes and dictionary order included.
+    All heavy work runs in Arrow C kernels or one ``bytes.translate`` — no
+    per-token Python objects, which is what keeps the build
+    memory-bandwidth-friendly at high task concurrency: case fold, a byte
+    table that turns every byte outside ``[a-z0-9]`` into a space, a
+    literal split on the space, flatten, dictionary hash.  The byte table
+    is exact for any UTF-8: after ``utf8_lower`` a code point is in
+    ``[a-z0-9]`` exactly when it is one byte below 0x80, and every byte of
+    any other code point is an ASCII non-word byte or >= 0x80.  Only
+    usable when ``analyzer.arrow_split_pattern`` is set (the deterministic
+    ascii word tokenizer) and no feature beyond ``pos`` is indexed; its
+    output equals ``flatten_batch``'s, codes and dictionary order
+    included.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    arr = texts if isinstance(texts, (pa.Array, pa.ChunkedArray)) else pa.array(texts)
+    arr = texts if isinstance(texts, (pa.Array, pa.ChunkedArray)) else pa.array(
+        texts, type=pa.string())
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     lowered = pc.utf8_lower(arr)
-    lists = pc.split_pattern_regex(lowered, analyzer.arrow_split_pattern)
-    lists = lists.combine_chunks() if isinstance(lists, pa.ChunkedArray) else lists
+    validity, value_offsets, data = lowered.buffers()
+    if data is not None:
+        data = pa.py_buffer(data.to_pybytes().translate(_ASCII_WORD_BYTES))
+    words = pa.Array.from_buffers(lowered.type, len(lowered),
+                                  [validity, value_offsets, data],
+                                  null_count=lowered.null_count,
+                                  offset=lowered.offset)
+    lists = pc.split_pattern(words, " ")
     offsets = np.asarray(lists.offsets, dtype=np.int64)
     offsets = offsets - offsets[0]
     flat = pc.list_flatten(lists)
-    mask = pc.not_equal(flat, "")  # split keeps empty edge pieces; drop them
+    mask = pc.not_equal(flat, "")  # split keeps empty pieces; drop them
     kept_before = np.zeros(len(flat) + 1, dtype=np.int64)
     np.cumsum(mask.to_numpy(zero_copy_only=False), out=kept_before[1:])
     doc_len = kept_before[offsets[1:]] - kept_before[offsets[:-1]]
     enc = pc.dictionary_encode(flat.filter(mask))
-    enc = enc.combine_chunks() if isinstance(enc, pa.ChunkedArray) else enc
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    dict_np = np.asarray(enc.dictionary.to_pylist(), dtype=object)
+    dict_np = enc.dictionary.to_numpy(zero_copy_only=False)
     return _coded_batch(codes, dict_np, doc_len)
+
+
+# byte -> itself for [a-z0-9], else the split byte b" "
+_ASCII_WORD_BYTES = bytes(
+    b if 0x30 <= b <= 0x39 or 0x61 <= b <= 0x7A else 0x20 for b in range(256))
 
 
 # index feature -> (per-doc analyzer method returning the tokens followed

@@ -56,15 +56,20 @@ def varint_encode_offsets(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     offs = np.zeros(len(v) + 1, dtype=np.int64)
     np.cumsum(nb, out=offs[1:])
     starts = offs[:-1]
-    out = np.zeros(int(offs[-1]), dtype=np.uint8)
-    for j in range(_MAX_VARINT_BYTES):
-        mask = nb > j
-        if not mask.any():
+    # every value writes its first byte; each later pass writes byte j of
+    # the values that still have one, a subset that shrinks each pass
+    out = np.empty(int(offs[-1]), dtype=np.uint8)
+    more = nb > 1
+    out[starts] = (v & np.uint64(0x7F)).astype(np.uint8) | (
+        more.astype(np.uint8) << 7)
+    at = np.flatnonzero(more)
+    for j in range(1, _MAX_VARINT_BYTES):
+        if len(at) == 0:
             break
-        idx = starts[mask] + j
-        byte = ((v[mask] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(np.uint8)
-        cont = (nb[mask] > j + 1).astype(np.uint8) << 7
-        out[idx] = byte | cont
+        more = nb[at] > j + 1
+        byte = ((v[at] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(np.uint8)
+        out[starts[at] + j] = byte | (more.astype(np.uint8) << 7)
+        at = at[more]
     return out, offs
 
 

@@ -259,21 +259,10 @@ def invert_coded(codes: np.ndarray, sorted_uniques: np.ndarray,
     flush runs.  Postings are ordered by (term, doc id, position), the
     doc-order invariant the reference enforces (formats_10.cpp:823-828).
     ``offs``: optional (start, end) char offsets, ``pays``: optional
-    payload bytes, both aligned with the occurrences."""
+    payload bytes, both aligned with the occurrences, which must arrive in
+    (doc id, position) order."""
     uniques = sorted_uniques
-    # one stable sort of one packed int64 key instead of a 3-array lexsort
-    # (~1.5x): positions arrive ascending within each doc (tokens are
-    # generated in document order), so stability alone keeps them sorted
-    # inside every (term, doc) run
-    if len(docs):
-        stride = np.int64(docs.max()) + 1
-        if int(codes.max() if len(codes) else 0) < (1 << 62) // int(stride):
-            key = codes.astype(np.int64) * stride + docs
-            order = np.argsort(key, kind="stable")
-        else:  # overflow-safe fallback
-            order = np.lexsort((poss, docs, codes))
-    else:
-        order = np.lexsort((poss, docs, codes))
+    order = _term_order(codes, len(uniques), docs, poss)
     codes, docs, poss = codes[order], docs[order], poss[order]
     if offs is not None:
         offs = (offs[0][order], offs[1][order])
@@ -303,6 +292,29 @@ def invert_coded(codes: np.ndarray, sorted_uniques: np.ndarray,
     return encode_postings_table(np.asarray(uniques, dtype=object), term_post_offs,
                                  p_docs, freqs, poss, np.r_[p_starts, len(codes)],
                                  offs=offs, pays=pays)
+
+
+def _term_order(codes: np.ndarray, n_terms: int, docs: np.ndarray,
+                poss: np.ndarray) -> np.ndarray:
+    """The permutation that orders occurrences by (term, doc, position).
+
+    Occurrences arrive in (doc, position) order — ``SegmentWriter``
+    assigns dense ascending doc ids, and the sorted-index build reorders
+    docs before it assigns them — so a stable sort by term code alone
+    gives it: an LSD radix sort over 16-bit digits, one numpy radix pass
+    per digit (a single pass up to 65,536 terms)."""
+    if len(docs) > 1:
+        step = np.diff(docs)
+        if (step < 0).any() or ((step == 0) & (poss[1:] < poss[:-1])).any():
+            raise ValueError("docs out of order: occurrences must arrive "
+                             "in (doc id, position) order")
+    order = np.argsort((codes & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while n_terms > (1 << shift):
+        digit = (codes[order] >> shift) & 0xFFFF
+        order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
 
 
 # terms.parquet blob columns, in schema order; the last four exist only

@@ -62,6 +62,7 @@ def nul_safe_factorize(values, sort: bool = False):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     arr = values
     if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
@@ -82,14 +83,16 @@ def nul_safe_factorize(values, sort: bool = False):
         return pd.factorize(arr.to_numpy(zero_copy_only=False), sort=sort)
     enc = arr.dictionary_encode()
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniques = np.asarray(enc.dictionary.to_pylist(), dtype=object)
+    uniques = enc.dictionary
     if sort and len(uniques):
-        order = np.argsort(uniques, kind="stable")  # full-value compare
+        # Arrow compares full values by their bytes, and UTF-8 byte order
+        # is code-point order, which is Python's str (and bytes) order
+        order = pc.array_sort_indices(uniques).to_numpy()
         rank = np.empty(len(order), np.int64)
         rank[order] = np.arange(len(order))
         codes = rank[codes]
-        uniques = uniques[order]
-    return codes, uniques
+        uniques = uniques.take(order)
+    return codes, uniques.to_numpy(zero_copy_only=False)
 
 
 class StatelessBatchFn:

@@ -41,6 +41,18 @@ def _leb128_reference(buf) -> list[int]:
     return out
 
 
+def _leb128_encode_reference(vals) -> bytes:
+    """Byte-at-a-time minimal LEB128 encode."""
+    out = bytearray()
+    for v in vals:
+        v = int(v)
+        while v >= 0x80:
+            out.append(v & 0x7F | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
 def _random_widths_stream(rng, n):
     """``n`` values whose LEB128 encodings are 1-5 bytes, widths uniform."""
     widths = rng.integers(1, 6, size=n)
@@ -54,7 +66,10 @@ def test_varint_decode_matches_reference_decoder():
     streams.append(rng.integers(0, 128, size=500).astype(np.uint64))  # all single-byte
     streams.append(np.array([2**35 - 1, 0, 2**28, 127], dtype=np.uint64))  # 5-byte values
     for vals in streams:
-        buf = codec.varint_encode(vals)
+        buf, offs = codec.varint_encode_offsets(vals)
+        assert buf.tobytes() == _leb128_encode_reference(vals)
+        assert offs.tolist() == [0, *np.cumsum(
+            [len(_leb128_encode_reference([v])) for v in vals]).tolist()]
         assert _leb128_reference(buf) == vals.tolist()
         out = codec.varint_decode(buf)
         assert out.dtype == np.uint64

@@ -360,6 +360,25 @@ def test_nul_safe_factorize_dictionary_input():
     assert uniques.tolist() == ["a\x00b", "a\x00c"]
 
 
+@pytest.mark.parametrize("values", [
+    ["a\x00c", "u1", "a\x00b", "u1\x00", "a", "a\x00c", "u1"],
+    ["ünï", "zeta", "İstanbul", "Ça", "alpha", "ünï", "日本"],
+    ["\U00010000", "\uffff", "\ue000", "z", "\U0001f600", "\uffff"],
+    [b"b", b"a\x00", b"a", b"\xff", b"a\x00\x01", b"b"],
+])
+def test_nul_safe_factorize_sorted_order(values):
+    """``sort=True`` ranks by full values in Python order (code-point
+    order, not UTF-16: astral-plane strings sort after U+FFFF), with NULs
+    compared like any other character, and the codes round-trip."""
+    from iresearch_ray.util import nul_safe_factorize
+
+    arr = np.empty(len(values), dtype=object)
+    arr[:] = values
+    codes, uniques = nul_safe_factorize(arr, sort=True)
+    assert list(uniques) == sorted(set(values))
+    assert [uniques[c] for c in codes] == values
+
+
 def test_token_count_by(docs, docs_pdf):
     out = textstats.token_count_by(docs, "source").to_pandas().set_index("source")
     ana = get_analyzer("ascii")

@@ -607,3 +607,52 @@ def test_terms_and_keys_convert_like_to_pylist(tmp_path):
         <= set(r.terms)
     for t in r.terms:
         assert r.terms[r.lookup(t)] == t
+
+
+def _table_in_order(order, codes, uniques, docs, poss):
+    """``encode_postings_table`` over occurrences taken in ``order``: the
+    (term, doc) runs and per-term slices computed directly."""
+    from iresearch_ray.index.segment import encode_postings_table
+
+    codes, docs, poss = codes[order], docs[order], poss[order]
+    new_posting = np.r_[True, (codes[1:] != codes[:-1])
+                        | (docs[1:] != docs[:-1])][:len(codes)]
+    p_starts = np.flatnonzero(new_posting)
+    runs = np.r_[p_starts, len(codes)]
+    p_codes = codes[p_starts]
+    term_post_offs = np.searchsorted(p_codes, np.arange(len(uniques) + 1))
+    return encode_postings_table(uniques, term_post_offs, docs[p_starts],
+                                 np.diff(runs), poss, runs)
+
+
+@pytest.mark.parametrize("n_terms", [70_000, 65_536, 0])
+def test_radix_invert_matches_lexsort_order(n_terms):
+    """``invert_coded``'s radix order (one 16-bit pass up to 65,536
+    terms, two above) writes the table the (term, doc, position) lexsort
+    order writes, down to an empty segment."""
+    from iresearch_ray.index.segment import invert_coded
+
+    rng = np.random.default_rng(n_terms)
+    uniques = np.array([f"t{i:06d}" for i in range(n_terms)], dtype=object)
+    n = 3 * n_terms
+    # every term occurs; occurrences arrive in (doc, position) order
+    codes = rng.permutation(np.r_[np.arange(n_terms),
+                                  rng.integers(0, max(n_terms, 1),
+                                               n - n_terms)]).astype(np.int64)
+    docs = np.sort(rng.integers(1, n_terms // 20 + 2, n)).astype(np.int64)
+    first = np.searchsorted(docs, docs)
+    poss = np.arange(n, dtype=np.int64) - first
+    got = invert_coded(codes, uniques, docs, poss)
+    want = _table_in_order(np.lexsort((poss, docs, codes)), codes, uniques,
+                           docs, poss)
+    assert got.num_rows == n_terms
+    assert got.equals(want)
+
+
+@pytest.mark.parametrize("docs,poss", [([2, 1], [0, 0]), ([1, 1], [1, 0])])
+def test_invert_rejects_occurrences_out_of_doc_order(docs, poss):
+    from iresearch_ray.index.segment import invert_coded
+
+    with pytest.raises(ValueError, match="docs out of order"):
+        invert_coded(np.array([0, 1]), np.array(["a", "b"], dtype=object),
+                     np.array(docs), np.array(poss))
