@@ -152,11 +152,19 @@ class RegexTokenizer(Analyzer):
         return (toks, np.asarray(starts, dtype=np.int64),
                 np.asarray(ends, dtype=np.int64))
 
+    def _lower(self, text: str) -> str:
+        if self.kind == "ascii":
+            # Arrow utf8_lower (the flatten_batch_arrow path) and DuckDB
+            # lower() fold U+0130 to 'i'; Python to 'i' + U+0307, which
+            # splits the word — fold it their way
+            text = text.replace("\u0130", "I")
+        return text.lower()
+
     def tokens(self, text: str) -> list[str]:
         if self.kind == "icu" and self._brk is not None:
             return self._icu_words(text)[0]
         if self.lowercase:
-            text = text.lower()
+            text = self._lower(text)
         return self._pat.findall(text)
 
     def tokens_with_offsets(self, text: str):
@@ -171,14 +179,14 @@ class RegexTokenizer(Analyzer):
             # indexes desync from query-time analysis and highlights
             # point at the wrong spans
             return self._icu_words(text)
-        low = text.lower() if self.lowercase else text
+        low = self._lower(text) if self.lowercase else text
         if len(low) != len(text):
             # rare: case-folding changed the length (e.g. 'İ' -> 'i̇');
             # build a low-index -> original-index map so offsets stay
             # anchored to the ORIGINAL text
             back = []
             for i, ch in enumerate(text):
-                back.extend([i] * len(ch.lower()))
+                back.extend([i] * len(self._lower(ch)))
             toks, starts, ends = [], [], []
             for m in self._pat.finditer(low):
                 toks.append(m.group())

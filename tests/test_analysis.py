@@ -244,6 +244,25 @@ def test_offsets_survive_length_changing_casefold():
     assert "plain batch text"[s2[j]:e2[j]] == "batch"
 
 
+def test_ascii_python_and_arrow_paths_agree_on_every_code_point():
+    """The ``ascii`` analyzer's two tokenize paths (Arrow kernels, and
+    Python ``tokens`` that queries and ``offs`` builds use) split every
+    non-surrogate code point the same way, case folds included."""
+    from iresearch_ray.analysis.tokenizers import flatten_batch_arrow
+
+    a = get_analyzer("ascii")
+    cps = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    texts = ["a" + chr(c) + "b" + chr(c) for c in cps]
+    arrow, py = flatten_batch_arrow(a, texts), flatten_batch(a, texts)
+    split = np.flatnonzero(arrow["doc_len"] != py["doc_len"])
+    assert [hex(cps[i]) for i in split] == []
+    assert (arrow["dict"][arrow["codes"]] == py["dict"][py["codes"]]).all()
+    text = "\u0130stanbul and \u0130x"
+    assert a.tokens(text) == ["istanbul", "and", "ix"]
+    toks, starts, ends = a.tokens_with_offsets("\u0130x \ufb01 y")
+    assert toks == ["ix", "y"] and starts.tolist() == [0, 5]
+
+
 def test_null_text_is_empty_document():
     """A null text row must tokenize to zero tokens in the Python batch
     path, matching the Arrow fast path (nulls -> empty docs), instead of
