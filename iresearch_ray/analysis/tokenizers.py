@@ -116,16 +116,16 @@ class RegexTokenizer(Analyzer):
                  locale: str = "en"):
         if kind == "unicode":
             self._pat = re.compile(r"\w+", re.UNICODE)
-            self.arrow_split_pattern = None
+            self.arrow_tokenize = False
         elif kind == "ascii":
             self._pat = re.compile(r"[a-z0-9]+")
-            # enables the zero-Python-object Arrow tokenize fast path
+            # selects the zero-Python-object Arrow tokenize path
             # (flatten_batch_arrow): splitting lowered text at every byte
             # outside [a-z0-9] equals findall('[a-z0-9]+') on it
-            self.arrow_split_pattern = "[^a-z0-9]+" if lowercase else None
+            self.arrow_tokenize = lowercase
         elif kind == "icu":
             self._pat = re.compile(_ICU_FALLBACK_PATTERN)
-            self.arrow_split_pattern = None
+            self.arrow_tokenize = False
             self._brk = _icu_break_iterator(locale)
         else:
             raise ValueError(f"unknown RegexTokenizer kind: {kind}")
@@ -469,7 +469,7 @@ def flatten_batch_arrow(analyzer: Analyzer, texts) -> dict[str, np.ndarray]:
     is exact for any UTF-8: after ``utf8_lower`` a code point is in
     ``[a-z0-9]`` exactly when it is one byte below 0x80, and every byte of
     any other code point is an ASCII non-word byte or >= 0x80.  Only
-    usable when ``analyzer.arrow_split_pattern`` is set (the deterministic
+    usable when ``analyzer.arrow_tokenize`` is set (the lowercasing
     ascii word tokenizer) and no feature beyond ``pos`` is indexed; its
     output equals ``flatten_batch``'s, codes and dictionary order
     included.

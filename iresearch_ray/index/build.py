@@ -341,9 +341,9 @@ class BuildSegmentTask:
                  "descending" if self.sort_descending else "ascending")])
             batches = whole.take(order).to_batches(
                 max_chunksize=TOKENIZE_BATCH_ROWS)
-        # one coded path: the Arrow kernels where the analyzer has a split
-        # pattern and no per-occurrence attribute is indexed, else Python
-        arrow = (getattr(self.analyzer, "arrow_split_pattern", None)
+        # one coded path: the Arrow kernels where the analyzer selects
+        # them and no per-occurrence attribute is indexed, else Python
+        arrow = (getattr(self.analyzer, "arrow_tokenize", False)
                  and not {"offs", "pay"} & set(self.index_features))
         for rb in batches:
             keys = rb.column(self.key_column).cast(pa.string()).to_pylist()

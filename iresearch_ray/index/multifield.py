@@ -21,11 +21,13 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pandas as pd
 
 from iresearch_ray.index.build import build_index
 from iresearch_ray.search.distributed import DistributedSearcher
-from iresearch_ray.search.executor import IndexReader, IndexSearcher
+from iresearch_ray.search.executor import (IndexReader, IndexSearcher,
+                                           SnapshotMemo)
 from iresearch_ray.search.filters import Filter, Prepared
 
 ROOT_META = "multifield.json"
@@ -90,11 +92,7 @@ class Fielded(Filter):
         pfx = self._prefix()
         out: dict[str, int] = {}
         for t in sorted(self.inner.terms_needed()):
-            total = 0
-            for seg in sub.segments:
-                i = seg.reader.lookup(t)
-                if i >= 0:
-                    total += int(seg.reader.df_array()[i])
+            total = sub.memo.rows(t)[1]
             if total:
                 out[pfx + t] = total
         for node in df_collect_nodes(self.inner):
@@ -113,16 +111,33 @@ class Fielded(Filter):
             sub_map = {k[len(pfx):]: v for k, v in df_map.items()
                        if isinstance(k, str) and k.startswith(pfx)}
         return _FieldBound(self.inner.prepare(sub, scorer, sub_map),
-                           {s.id: s for s in sub.segments})
+                           sub.segments)
+
+
+def _same_mask(a, b) -> bool:
+    return a is b or (a is not None and b is not None
+                      and np.array_equal(a, b))
 
 
 class _FieldBound(Prepared):
     """Execute against the SAME-ID segment of this field's sub-index
     (segment ids align across fields by construction)."""
 
-    def __init__(self, prep, segs_by_id):
+    def __init__(self, prep, segments):
         self.prep = prep
-        self.segs_by_id = segs_by_id
+        self.segments = segments  # the field's snapshot, prepared on
+        self.segs_by_id = {s.id: s for s in segments}
+
+    def execute_global(self, segments):
+        """The inner node over the field's own snapshot when it lines up
+        with ``segments`` (same ids, bases and masks); otherwise the
+        per-segment default, which masks with ``segments``' masks."""
+        mine = self.segments
+        if len(mine) == len(segments) and all(
+                m.id == s.id and m.base == s.base and _same_mask(m.mask, s.mask)
+                for m, s in zip(mine, segments)):
+            return self.prep.execute_global(mine)
+        return super().execute_global(segments)
 
     def route(self, seg):
         """(inner prepared, this field's same-id segment view) — lets the
@@ -133,10 +148,8 @@ class _FieldBound(Prepared):
     def execute(self, seg):
         mine = self.segs_by_id.get(seg.id)
         if mine is None:
-            import numpy as _np
-
-            return (_np.empty(0, dtype=_np.int64),
-                    _np.empty(0, dtype=_np.float32))
+            return (np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.float32))
         return self.prep.execute(mine)
 
 
@@ -161,6 +174,7 @@ class MultiFieldReader:
         # leaves re-route to their own field's same-id segment
         self.segments = base.segments
         self.stats = base.stats
+        self.memo = base.memo
 
     def field(self, name: str) -> IndexReader:
         try:
@@ -218,11 +232,12 @@ def _has_fielded(flt) -> bool:
 # ------------------------------------------------ distributed serving ----
 class _FieldGroupView:
     """One field's slice of a segment group — duck-types the parts of
-    IndexReader that prepare/execute touch (.segments, .stats)."""
+    IndexReader that prepare/execute touch (.segments, .stats, .memo)."""
 
     def __init__(self, segments, stats):
         self.segments = segments
         self.stats = stats
+        self.memo = SnapshotMemo(segments)
 
 
 def _make_multifield_group_actor():
@@ -256,6 +271,7 @@ def _make_multifield_group_actor():
                     segs, FieldStats(*stats_by_field[fname]))
             self.segments = self.views[default_field].segments
             self.stats = self.views[default_field].stats
+            self._memo = self.views[default_field].memo
 
         def field(self, name: str):
             try:

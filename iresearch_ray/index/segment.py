@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,65 @@ def _cache_entry_size(entry) -> int:
     if isinstance(entry, dict):
         return max(sum(len(v) for v in entry.values()), 1)
     return max(sum(len(a) for a in entry if isinstance(a, np.ndarray)), 1)
+
+
+class BoundedLRU:
+    """A get-or-build cache bounded by the total element count of its
+    entries (``_cache_entry_size``), least recently used out first.
+    ``SegmentReader`` holds one for its decoded postings and derived
+    artifacts; a search snapshot holds one for its per-term results.
+
+    The budget is max(``_CACHE_MAX_POSTINGS``, 80 elements per doc) of the
+    owner's ``num_docs``.  The floor is sized so a 1M-doc-corpus head
+    term's occurrence-key array fits many times over (≈240k
+    occurrences/segment; ~16 MB at the floor).  A phrase term costs its
+    occurrence-key array only, ≈ tf·n_docs elements (head tf≈16 at a
+    5M-doc corpus); its positional tuple (docs+freqs+positions+
+    run_offsets, ≈ (tf+3)·n_docs) is cached only for oversize terms,
+    whose keys exceed budget // 4 and are rebuilt from it per query (see
+    ``SegmentReader.occurrence_keys``).  The fixed floor stopped covering
+    head terms once segments passed ~30k docs — at 78k docs/segment every
+    warm phrase query re-decoded ~2M position varints per term (measured:
+    HighPhrase 4.4 s at 5M vs the expected ~0.7 s linear growth; see
+    BASELINE.md).  80 el/doc keeps a multi-head-term phrase working set
+    resident and caps a fully-hot segment reader at ~640 B/doc (50 MB at
+    78k docs); only readers actually serving head queries ever fill it,
+    and distributed serving spreads segment groups across actors."""
+
+    _CACHE_MAX_POSTINGS = 2_000_000
+    _MISSING = object()
+
+    def _cache_budget(self) -> int:
+        b = getattr(self, "_cache_budget_v", None)
+        if b is None:
+            n = int(getattr(self, "num_docs", 0) or 0)
+            b = self._cache_budget_v = max(self._CACHE_MAX_POSTINGS, 80 * n)
+        return b
+
+    def _lru_get(self, key, build, oversize_bypass: bool = False):
+        """The entry under ``key``, built and inserted on a miss.
+        ``oversize_bypass``: serve entries larger than 1/4 of the budget
+        uncached instead of letting one head-term artifact evict
+        everything else (the 1M-doc LRU-thrash fix)."""
+        cache = getattr(self, "_post_cache", None)
+        if cache is None:
+            cache = self._post_cache = OrderedDict()
+            self._post_cache_size = 0
+        hit = cache.get(key, self._MISSING)
+        if hit is not self._MISSING:
+            cache.move_to_end(key)
+            return hit
+        out = build()
+        n = _cache_entry_size(out)
+        budget = self._cache_budget()
+        if oversize_bypass and n > budget // 4:
+            return out
+        cache[key] = out
+        self._post_cache_size += n
+        while self._post_cache_size > budget and cache:
+            _, old = cache.popitem(last=False)
+            self._post_cache_size -= _cache_entry_size(old)
+        return out
 
 
 def _binary_array(blob: np.ndarray, byte_offsets: np.ndarray) -> pa.Array:
@@ -506,7 +566,7 @@ def write_segment_dir(index_dir: str, segment_id: str, terms: pa.Table,
     return final
 
 
-class SegmentReader:
+class SegmentReader(BoundedLRU):
     """Lazy view of one segment's artifacts (query-side cache — the
     analogue of reference segment_reader, core/index/segment_reader.cpp:257).
 
@@ -728,68 +788,12 @@ class SegmentReader:
         return cached
 
     # -- postings -----------------------------------------------------------
-    # decoded-postings LRU: long-lived query serving re-decodes the same
-    # hot terms every query; bound by TOTAL cached postings so head terms
-    # can't blow the heap (the reference leans on the OS page cache +
-    # per-reader format caches for the same effect)
-    # _CACHE_MAX_POSTINGS is the element-count FLOOR, sized so a
-    # 1M-doc-corpus head term's occurrence-key array fits many times over
-    # (≈240k occurrences/segment; ~16 MB/reader at the floor);
-    # _cache_budget() scales it with segment size — see the 5M-doc
-    # HighPhrase finding in BASELINE.md
-    _CACHE_MAX_POSTINGS = 2_000_000
-    _MISSING = object()
-
-    def _cache_budget(self) -> int:
-        """Postings-LRU element budget: max(floor, 80 elements per doc in
-        the segment).  A phrase term costs its occurrence-key array only,
-        ≈ tf·n_docs elements (head tf≈16 at a 5M-doc corpus); its
-        positional tuple (docs+freqs+positions+run_offsets, ≈ (tf+3)·n_docs)
-        is cached only for oversize terms, whose keys exceed budget // 4
-        and are rebuilt from it per query (see ``occurrence_keys``).  The
-        fixed 2M floor stopped covering head terms once segments passed
-        ~30k docs — at 78k docs/segment every warm phrase query re-decoded
-        ~2M position varints per term (measured: HighPhrase 4.4 s at 5M vs
-        the expected ~0.7 s linear growth).  80 el/doc keeps a
-        multi-head-term phrase working set resident and caps a fully-hot
-        reader at ~640 B/doc (50 MB at 78k docs); only readers actually
-        serving head queries ever fill it, and distributed serving spreads
-        segment groups across actors."""
-        b = getattr(self, "_cache_budget_v", None)
-        if b is None:
-            n = int(getattr(self, "num_docs", 0) or 0)
-            b = self._cache_budget_v = max(self._CACHE_MAX_POSTINGS, 80 * n)
-        return b
-
     def cached_entry(self, key, build, oversize_bypass: bool = False):
         """Get-or-build in the postings LRU: every query-hot derived
         artifact (decoded postings, packed occurrence keys, skip dicts,
         expansion match rows) shares ONE size-bounded cache, so total
-        reader memory stays bounded no matter which query mix is hot.
-        ``oversize_bypass``: serve entries larger than 1/4 of the budget
-        uncached instead of letting one head-term artifact evict
-        everything else (the 1M-doc LRU-thrash fix)."""
-        cache = getattr(self, "_post_cache", None)
-        if cache is None:
-            from collections import OrderedDict
-
-            cache = self._post_cache = OrderedDict()
-            self._post_cache_size = 0
-        hit = cache.get(key, self._MISSING)
-        if hit is not self._MISSING:
-            cache.move_to_end(key)
-            return hit
-        out = build()
-        n = _cache_entry_size(out)
-        budget = self._cache_budget()
-        if oversize_bypass and n > budget // 4:
-            return out
-        cache[key] = out
-        self._post_cache_size += n
-        while self._post_cache_size > budget and cache:
-            _, old = cache.popitem(last=False)
-            self._post_cache_size -= _cache_entry_size(old)
-        return out
+        reader memory stays bounded no matter which query mix is hot."""
+        return self._lru_get(key, build, oversize_bypass)
 
     def postings(self, idx: int, positions: bool = False):
         """Decode term row `idx` -> (docs, freqs[, pos_runs, run_offsets])."""

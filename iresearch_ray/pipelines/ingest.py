@@ -22,6 +22,7 @@ import json
 import os
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from iresearch_ray.analysis.hashing import hash_family
 from iresearch_ray.index.build import build_index
@@ -29,21 +30,26 @@ from iresearch_ray.pipelines.dedup import _sorted_member
 from iresearch_ray.sources.pages import extract_text_batch
 
 
-def _drop_ids(stream, sorted_ids: np.ndarray, key_column: str):
-    """Filter out rows whose ``key_column`` is in the SORTED drop array —
-    the broadcast + clamped-searchsorted membership idiom, shared by the
-    near-dup and span-duplication drop stages."""
+def _is_in(col, value_set: pa.Array) -> np.ndarray:
+    """Whether each value of ``col`` is in ``value_set``, comparing whole
+    values: a fixed-width numpy unicode array strips trailing NULs, so
+    there ``'u1' == 'u1\x00'`` whichever side holds the NUL."""
+    return pc.is_in(col, value_set=value_set.cast(col.type)).to_numpy(
+        zero_copy_only=False)
+
+
+def _drop_ids(stream, ids, key_column: str):
+    """Filter out rows whose ``key_column`` is in ``ids`` (broadcast once
+    as an Arrow array), shared by the domain-cap, near-dup and
+    span-duplication drop stages."""
     import ray
 
-    ref = ray.put(sorted_ids)
+    ref = ray.put(pa.array(list(ids)))
 
     def drop(b: pa.Table) -> pa.Table:
         if not b.num_rows:
             return b
-        # no astype: numpy compares mixed-width unicode exactly; a width
-        # cast could truncate long ids
-        ids = np.asarray(b[key_column].to_pylist())
-        return b.filter(pa.array(~_sorted_member(ray.get(ref), ids)))
+        return b.filter(pa.array(~_is_in(b[key_column], ray.get(ref))))
 
     return stream.map_batches(drop, batch_format="pyarrow")
 
@@ -131,8 +137,6 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
                 "n_domain_dropped": 0}
 
     def _extract_and_dedup():
-        import pyarrow.compute as pc
-
         if extractor == "wet":
             from iresearch_ray.pipelines.curate import extract_text
 
@@ -183,8 +187,8 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
                 # per-row Python set lookups), same shape as dedup.keep_hot
                 hashes_ref = ray.put(np.sort(family.key_hex(
                     [g["text_hash"] for g in dup_groups])))
-                keep_ref = ray.put(np.sort(np.array(
-                    [g["keep_id"] for g in dup_groups])))
+                keep_ref = ray.put(pa.array(
+                    [g["keep_id"] for g in dup_groups]))
 
                 def drop_dups(b: pa.Table) -> pa.Table:
                     if not b.num_rows:
@@ -195,10 +199,7 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
                         hs, family.content_hex(b["text"]))
                     mask = ~is_dup
                     if is_dup.any():  # survivors: each group's keep_id
-                        # no astype: numpy compares mixed-width unicode
-                        # exactly; a width cast could truncate long ids
-                        ids = np.asarray(b[key_column].to_pylist())
-                        mask[is_dup] = _sorted_member(kp, ids[is_dup])
+                        mask |= _is_in(b[key_column], kp)
                     return b.filter(pa.array(mask))
 
                 extracted = extracted.map_batches(drop_dups,
@@ -220,10 +221,8 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
                 keyed, "domain", key_column, domain_cap).to_pandas()
             counters["n_domain_dropped"] = int(len(over))
             if len(over):
-                extracted = _drop_ids(
-                    extracted,
-                    np.sort(np.asarray(over[key_column].tolist())),
-                    key_column)
+                extracted = _drop_ids(extracted, over[key_column].tolist(),
+                                      key_column)
         if near_dup is not None:
             finder = (minhash_lsh_pairs if near_dup == "minhash"
                       else ngram_jaccard_pairs)
@@ -232,9 +231,7 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
             drop = dedup_drop_set(pairs)
             counters["n_near_dropped"] = len(drop)
             if drop:
-                extracted = _drop_ids(extracted,
-                                      np.sort(np.asarray(list(drop))),
-                                      key_column)
+                extracted = _drop_ids(extracted, drop, key_column)
         if span_dup_max is not None:
             # only the over-threshold ids reach the driver (Arrow-side
             # filter on the per-doc stats stream, never the full listing)
@@ -249,9 +246,8 @@ def ingest(ds, work_dir: str, *, analyzer: str = "ascii",
             # empty frame — guard before indexing
             counters["n_span_dropped"] = int(len(over))
             if len(over):
-                extracted = _drop_ids(
-                    extracted, np.sort(over[key_column].to_numpy()),
-                    key_column)
+                extracted = _drop_ids(extracted, over[key_column].tolist(),
+                                      key_column)
         return extracted
 
     # atomic tmp+rename staging with a params marker: a half-written dir

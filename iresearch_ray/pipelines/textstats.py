@@ -20,12 +20,13 @@ from iresearch_ray.util import StatelessBatchFn, nul_safe_factorize, pool_size
 def _coded_tokens(analyzer, col):
     """(codes, dict_np, doc_idx, doc_len) for a text column.
 
-    Uses the zero-Python-object Arrow tokenize path (case fold + regex
-    split + dictionary encode in Arrow C kernels) whenever the analyzer
-    supports it, else the Python path; both return the same coded form,
-    so every downstream stat is a vectorized bincount either way."""
+    Uses the zero-Python-object Arrow tokenize path (case fold, one byte
+    table, literal split and dictionary encode in Arrow C kernels)
+    whenever the analyzer selects it, else the Python path; both return
+    the same coded form, so every downstream stat is a vectorized
+    bincount either way."""
     tokenize = (flatten_batch_arrow
-                if getattr(analyzer, "arrow_split_pattern", None)
+                if getattr(analyzer, "arrow_tokenize", False)
                 else flatten_batch)
     out = tokenize(analyzer, col)
     return out["codes"], out["dict"], out["doc_idx"], out["doc_len"]

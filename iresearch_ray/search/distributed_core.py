@@ -17,6 +17,7 @@ import numpy as np
 import pandas as pd
 
 from iresearch_ray.search.executor import (
+    SnapshotMemo,
     _kth_floor,
     _topk_rows,
     collect_topk,
@@ -28,6 +29,14 @@ class GroupSearchCore:
     """Actor-side logic for one group of segments.  Subclasses set
     ``self.segments`` / ``self.stats`` in ``__init__``."""
 
+    @property
+    def memo(self) -> SnapshotMemo:
+        """This group's per-term memo, made on first use; it lives as long
+        as the actor, like its segment readers."""
+        if "_memo" not in vars(self):
+            self._memo = SnapshotMemo(self.segments)
+        return self._memo
+
     # ---- collect ---------------------------------------------------
     def expand_dfs(self, flt) -> dict:
         """Dictionary-expansion collect: matched term -> local df."""
@@ -36,11 +45,7 @@ class GroupSearchCore:
     def term_dfs(self, terms: list[str]) -> dict:
         out: dict[str, int] = {}
         for t in terms:
-            total = 0
-            for seg in self.segments:
-                i = seg.reader.lookup(t)
-                if i >= 0:
-                    total += int(seg.reader.df_array()[i])
+            total = self.memo.rows(t)[1]
             if total:
                 out[t] = total
         return out
@@ -108,7 +113,7 @@ def distributed_topk(actors, flt, scorer, df_map: dict, k: int,
     if mode == "top" and len(actors) > 1:
         pilot = ray.get(actors[0].execute_topk.remote(
             flt, scorer, df_map, k, "top"))
-        thr = _kth_floor(pilot[1], k, float("-inf"))
+        thr = pilot_threshold(pilot[1], k, scorer.dtype)
         rest = ray.get([a.execute_topk.remote(flt, scorer, df_map,
                                               k, "top", thr)
                         for a in actors[1:]])
@@ -117,6 +122,19 @@ def distributed_topk(actors, flt, scorer, df_map: dict, k: int,
         results = ray.get([a.execute_topk.remote(flt, scorer, df_map,
                                                  k, mode)
                            for a in actors])
+    return merge_group_hits(results, k)
+
+
+def pilot_threshold(scores: np.ndarray, k: int, dtype) -> float:
+    """The pilot group's k-th score one ulp down IN THE SCORER'S DTYPE.
+    Scores cross the wire as float64; a float64 ulp below a float32 score
+    rounds back to that score when the WAND kernels compare it with
+    float32 block bounds, and then prunes the blocks that tie it."""
+    return _kth_floor(np.asarray(scores).astype(dtype), k, float("-inf"))
+
+
+def merge_group_hits(results, k: int) -> pd.DataFrame:
+    """The top k of every group's (docs, scores, keys), tie-exact."""
     # an empty index has no actors -> the empty frame, like the local one
     docs = np.concatenate([np.empty(0, np.int64)] + [r[0] for r in results])
     scores = np.concatenate([np.empty(0)] + [r[1] for r in results])

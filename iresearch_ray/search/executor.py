@@ -1,14 +1,23 @@
 """Index reader + top-k search execution (driver-local and Ray-distributed).
 
 Mirrors the reference flow (utils/index-search.cpp:628-748): prepare a
-filter against the whole index, execute per segment, maintain a bounded
-top-k with a score threshold that WAND-capable iterators use to skip
-posting blocks (ExecutionMode::kTop / `wanderator`,
-core/formats/formats_10.cpp:2235-2564).  ``mode='all'`` is the
-rank-identity ground truth; ``mode='top'`` prunes 128-posting blocks whose
-best-case score (block max_freq at the most favorable doc length) cannot
-beat the current k-th score — a conservative freq-monotone bound like the
-reference's (formats_10.cpp:2369-2391).
+filter against the whole index, then execute it.  The reference executes
+segment by segment, which costs little in C++; here each segment adds a
+fixed Python cost to every query, so a prepared filter runs ONCE over the
+snapshot's global doc space (``Prepared.execute_global``) and the query
+makes one top-k selection.  Term results come from the snapshot's memo
+(``SnapshotMemo``): each term is decoded, scored with its own segment's
+norms path and masked once per snapshot, then reused by every query that
+asks for it under the same scorer constants.
+
+``mode='all'`` is the rank-identity ground truth.  ``mode='top'`` keeps
+the reference's per-segment loop for the two roots the block-max kernels
+serve (a term, or a union of terms): a bounded top-k whose k-th score
+feeds back as the threshold below which 128-posting blocks are skipped
+(ExecutionMode::kTop / `wanderator`, core/formats/formats_10.cpp:
+2235-2564; best-case block score at block max_freq, a conservative
+freq-monotone bound like formats_10.cpp:2369-2391).  Every other root
+answers ``top`` exactly as ``all``.
 
 Deterministic global doc order: ``global_doc = segment_base + local_doc``;
 ties in score break by ascending global doc (the arrival order of the
@@ -24,7 +33,7 @@ import numpy as np
 import pandas as pd
 
 from iresearch_ray.index import manifest as manifest_mod
-from iresearch_ray.index.segment import SegmentReader
+from iresearch_ray.index.segment import BoundedLRU, SegmentReader
 from iresearch_ray.search.filters import _PreparedTerm, _PreparedUnion
 from iresearch_ray.search.scorers import BM25, FieldStats
 
@@ -58,6 +67,68 @@ class SegmentView:
         return self.reader.max_doc_len < 256
 
 
+class SnapshotMemo(BoundedLRU):
+    """A search snapshot's memo of per-term results, bounded like a
+    segment's postings LRU (``BoundedLRU``: max(2M, 80 elements per doc)
+    over the snapshot's docs, oversize entries served uncached).  Its two
+    kinds of entry:
+
+    - ``rows(term)``: the term's dictionary row in each segment (-1 where
+      absent), its df summed over the segments, and the rows by segment
+      id, which per-segment execution reads;
+    - ``scored(term, rows, sp)``: the term's postings over the snapshot's
+      global doc space as one (sorted int64 global docs, scores) pair,
+      each segment's slice scored with that segment's own norms path
+      (``tiny``) and masked, keyed by the scorer's ``key()`` and dtype.
+
+    A slice is decoded with ``SegmentReader._decode_postings`` and never
+    entered in the segment's LRU, so a hot term is resident once.
+    Entries are read-only arrays shared by every query that asks for the
+    same term under the same scorer constants; nothing is keyed by a
+    whole query or its result."""
+
+    def __init__(self, segments: list[SegmentView]):
+        self.segments = segments
+        self.num_docs = sum(s.reader.num_docs for s in segments)
+
+    def rows(self, term: str) -> tuple[np.ndarray, int, dict]:
+        def build():
+            rows = np.array([s.reader.lookup(term) for s in self.segments],
+                            dtype=np.int64)
+            df = sum(int(s.reader.df_array()[i])
+                     for s, i in zip(self.segments, rows) if i >= 0)
+            return rows, df, dict(zip((s.id for s in self.segments),
+                                      rows.tolist()))
+
+        return self._lru_get(("rows", term), build)
+
+    def scored(self, term: str, rows: np.ndarray,
+               sp) -> tuple[np.ndarray, np.ndarray]:
+        key = getattr(sp, "key", None)
+        if key is None:  # a scorer without a stable key: score per query
+            return self._score(rows, sp)
+        return self._lru_get(
+            ("scored", term, key(), np.dtype(sp.dtype).str),
+            lambda: self._score(rows, sp), oversize_bypass=True)
+
+    def _score(self, rows: np.ndarray, sp) -> tuple[np.ndarray, np.ndarray]:
+        docs_l, scores_l = [], []
+        for seg, i in zip(self.segments, rows.tolist()):
+            if i < 0:
+                continue
+            docs, freqs = seg.reader._decode_postings(i)
+            docs = docs.astype(np.int64, copy=False)
+            docs, scores = seg.apply_mask(
+                docs, sp.score(freqs, seg.reader.doc_len[docs - 1], seg.tiny))
+            docs_l.append(docs + seg.base)
+            scores_l.append(scores)
+        if not docs_l:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=sp.dtype)
+        docs, scores = np.concatenate(docs_l), np.concatenate(scores_l)
+        docs.flags.writeable = scores.flags.writeable = False
+        return docs, scores
+
+
 class IndexReader:
     """MVCC snapshot over the latest (or given) manifest generation
     (reference directory_reader, core/index/directory_reader.cpp:219)."""
@@ -75,6 +146,7 @@ class IndexReader:
                 mask = load_mask(index_dir, s)
             self.segments.append(SegmentView(r, base, mask))
             base += r.num_docs
+        self.memo = SnapshotMemo(self.segments)
         self.stats = FieldStats(docs_with_field=self.manifest["num_docs"],
                                 total_tokens=self.manifest["sum_doc_len"])
 
@@ -83,12 +155,7 @@ class IndexReader:
         return self.manifest["num_docs"]
 
     def df(self, term: str) -> int:
-        total = 0
-        for seg in self.segments:
-            i = seg.reader.lookup(term)
-            if i >= 0:
-                total += int(seg.reader.df_array()[i])
-        return total
+        return self.memo.rows(term)[1]
 
     def stored(self, global_docs: np.ndarray, columns: list[str]) -> pd.DataFrame:
         """Fetch stored-field values for global doc ids (columnstore read —
@@ -147,9 +214,11 @@ class IndexSearcher:
 def hits_frame(docs, scores, keys) -> pd.DataFrame:
     """The (doc, key, score) frame every searcher returns, with int64 /
     object / float64 columns also when empty."""
-    return pd.DataFrame({"doc": np.asarray(docs, dtype=np.int64),
-                         "key": pd.Series(list(keys), dtype=object),
-                         "score": np.asarray(scores, dtype=np.float64)})
+    key = np.empty(len(keys), dtype=object)
+    key[:] = keys
+    return pd.DataFrame({"doc": np.asarray(docs, dtype=np.int64), "key": key,
+                         "score": np.asarray(scores, dtype=np.float64)},
+                        copy=False)
 
 
 def check_topk_args(k: int, mode: str) -> None:
@@ -174,25 +243,61 @@ def _topk_rows(docs: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
 def _kth_floor(scores: np.ndarray, k: int, threshold: float) -> float:
     """Raise ``threshold`` to one ulp below the k-th largest score (kept
     as is with fewer than k scores).  One ulp down so that docs TIED with
-    the k-th are never pruned: the final selection breaks ties by doc."""
+    the k-th are never pruned: the final selection breaks ties by doc.
+    The ulp is the scores' own: a float64 ulp below a float32 score
+    rounds back to it wherever the kernels compare float32 arrays."""
     if len(scores) < k:
         return threshold
     kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-    return max(threshold, float(np.nextafter(kth, -np.inf)))
+    return max(threshold, float(np.nextafter(kth, kth.dtype.type(-np.inf))))
 
 
 def collect_topk(prep, segments, k: int, mode: str = "all",
                  threshold: float = -np.inf):
-    """The one per-query top-k loop (utils/index-search.cpp:646-748), run
-    by ``IndexSearcher.search`` over the whole index and by every
-    segment-group actor over its group.  Per segment: route, WAND or the
-    exhaustive execute, mask, then merge into a buffer of the <= k best
-    rows by (-score, doc).  ``mode='top'`` feeds the buffer's k-th score
-    back to the WAND kernels as the pruning threshold (the reference's
-    score_threshold), starting from ``threshold`` (a pilot group's, on
-    the distributed path).  Returns (global docs, float64 scores, keys)
-    in that order; keys are resolved for the final rows only."""
+    """The one per-query top-k, run by ``IndexSearcher.search`` over the
+    whole index and by every segment-group actor over its group: the
+    prepared filter's global (docs, scores) once, then one tie-exact
+    selection by (-score, doc).  ``mode='top'`` on a term or a union of
+    terms runs ``_collect_wand`` instead, starting from ``threshold`` (a
+    pilot group's, on the distributed path).  Returns (global docs,
+    float64 scores, keys) in that order; keys are resolved for the final
+    rows only."""
     check_topk_args(k, mode)
+    if mode == "top" and segments and _wand_root(prep, segments[0]):
+        top_docs, top_scores = _collect_wand(prep, segments, k, threshold)
+    else:
+        docs, scores = prep.execute_global(segments)
+        sel = _topk_rows(docs, scores, k)
+        top_docs, top_scores = docs[sel], scores[sel]
+    if not len(top_docs):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), []
+    # segment i owns global docs (base, end]: the first end >= doc
+    ends = np.array([s.base + s.reader.num_docs for s in segments])
+    at = np.searchsorted(ends, top_docs, side="left")
+    keys = [segments[a].reader.keys[d - segments[a].base - 1]
+            for a, d in zip(at, top_docs)]
+    return (top_docs.astype(np.int64, copy=False),
+            top_scores.astype(np.float64), keys)
+
+
+def _wand_root(prep, seg) -> bool:
+    """Whether the block-max kernels serve this root: a term, or a union
+    whose children are all terms (field-bound nodes count as what they
+    route to)."""
+    node, _ = prep.route(seg)
+    return isinstance(node, _PreparedTerm) or (
+        isinstance(node, _PreparedUnion)
+        and all(isinstance(c.route(seg)[0], _PreparedTerm)
+                for c in node.children))
+
+
+def _collect_wand(prep, segments, k: int, threshold: float):
+    """The reference's per-segment top-k loop (utils/index-search.cpp:
+    646-748) with block-max pruning.  Per segment: route, WAND or the
+    exhaustive execute, mask, then merge into a buffer of the <= k best
+    rows by (-score, doc); the buffer's k-th score feeds back to the WAND
+    kernels as the pruning threshold (the reference's score_threshold).
+    Returns the buffer's (global docs, scores)."""
     top_docs = top_scores = None
     for seg in segments:
         # field-bound wrappers re-route to their own sub-index's aligned
@@ -201,8 +306,7 @@ def collect_topk(prep, segments, k: int, mode: str = "all",
         # segment and every segment it routes to are unmasked
         node, eseg = prep.route(seg)
         raw = None
-        if (mode == "top" and eseg is not None and seg.mask is None
-                and eseg.mask is None):
+        if eseg is not None and seg.mask is None and eseg.mask is None:
             if isinstance(node, _PreparedTerm):
                 raw = _wand_term(node, eseg, k, threshold)
             elif isinstance(node, _PreparedUnion) and all(
@@ -221,17 +325,10 @@ def collect_topk(prep, segments, k: int, mode: str = "all",
             scores = np.concatenate([top_scores, scores])
         sel = _topk_rows(docs, scores, k)
         top_docs, top_scores = docs[sel], scores[sel]
-        if mode == "top":
-            threshold = _kth_floor(top_scores, k, threshold)
+        threshold = _kth_floor(top_scores, k, threshold)
     if top_docs is None:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), []
-    # segment i owns global docs (base, end]: the first end >= doc
-    ends = np.array([s.base + s.reader.num_docs for s in segments])
-    at = np.searchsorted(ends, top_docs, side="left")
-    keys = [segments[a].reader.keys[d - segments[a].base - 1]
-            for a, d in zip(at, top_docs)]
-    return (top_docs.astype(np.int64, copy=False),
-            top_scores.astype(np.float64), keys)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    return top_docs, top_scores
 
 
 def _block_ub(node, cseg, i: int) -> np.ndarray | None:

@@ -1,11 +1,26 @@
-"""Filter tree: prepare (collect global stats) then per-segment execute.
+"""Filter tree: prepare (collect global stats) then execute.
 
 Same two-phase shape as the reference (core/search/filter.hpp:52-139): a
 filter ``prepare``s against the WHOLE index — summing df / field stats over
 segments exactly like `field_collector` / `term_collector`
-(core/search/bm25.cpp:209-256) — then ``execute``s per segment, producing
-(sorted local doc ids, scores).  All per-segment math is vectorized numpy
-over decoded posting arrays.
+(core/search/bm25.cpp:209-256) — and the prepared node executes in one of
+two ways:
+
+- ``execute(seg)``: one segment, (sorted local doc ids, scores), masks NOT
+  applied — the reference's per-segment execution, kept for every caller
+  that walks segments itself (match listing, deletes, stored-field
+  aggregates, the block-max top-k loop);
+- ``execute_global(segments)``: the whole snapshot, (sorted global doc
+  ids, scores) with masks applied.  Its default runs ``execute`` per
+  segment, masks, shifts by ``base`` and concatenates.  Terms read the
+  snapshot's memo of scored arrays instead, and unions, min-match,
+  conjunctions and dictionary expansions combine their children's global
+  arrays in one pass — a per-doc combination commutes with masking, and
+  each doc's score is still summed in child order.  Positional and
+  structural nodes (phrases, same-position, nested, ngram, all, column
+  existence, not, proxy) keep the default.
+
+All math is vectorized numpy over decoded posting arrays.
 
 Composition semantics:
 - And:     intersection, child scores summed (conjunction.hpp:97-260)
@@ -39,11 +54,13 @@ def _empty(dtype):
 def union_sum(docs_list, scores_list, counts_needed=False, dtype=np.float32):
     """Union posting arrays, summing scores per doc (stable child order).
 
-    Dense accumulator over segment-local doc ids — O(n_postings), no sort
-    (doc ids are dense 1..num_docs per segment, so the accumulator is
-    small).  Each child's docs are unique, so fancy-index += applies each
-    child once and the per-doc addition order is child order — bitwise
-    identical to the reference's heap-union accumulation."""
+    Dense accumulator over the doc ids (segment-local, or global over a
+    snapshot) when the postings are dense enough — O(n_postings), no sort.
+    Each child's docs are unique, so fancy-index += applies each child
+    once and the per-doc addition order is child order — bitwise
+    identical to the reference's heap-union accumulation.  The sparse
+    path sums each doc's run in the same order, so the choice of path
+    never changes a score."""
     pairs = [(d, s) for d, s in zip(docs_list, scores_list) if len(d)]
     if not pairs:
         out = _empty(dtype)
@@ -52,14 +69,17 @@ def union_sum(docs_list, scores_list, counts_needed=False, dtype=np.float32):
     n_post = sum(len(d) for d, _ in pairs)
     if n_post * 8 >= m:  # dense enough for the accumulator to win
         acc = np.zeros(m + 1, dtype=dtype)
-        cnt = np.zeros(m + 1, dtype=np.int64)
+        # one byte per doc while the child count fits: over a 5M-doc
+        # global doc space the accumulators are the union's transient
+        cnt = np.zeros(m + 1, dtype=np.uint8 if len(pairs) < 256
+                       else np.int64)
         for d, s in pairs:
             acc[d] += s.astype(dtype, copy=False)
             cnt[d] += 1
-        u_docs = np.flatnonzero(cnt).astype(np.int64)
+        u_docs = np.flatnonzero(cnt).astype(np.int64, copy=False)
         u_scores = acc[u_docs]
         if counts_needed:
-            return u_docs, u_scores, cnt[u_docs]
+            return u_docs, u_scores, cnt[u_docs].astype(np.int64)
         return u_docs, u_scores
     # sparse: postings << segment size (e.g. rare terms in a consolidated
     # multi-million-doc segment) — O(n log n) merge beats an O(segment)
@@ -73,14 +93,45 @@ def union_sum(docs_list, scores_list, counts_needed=False, dtype=np.float32):
     new[1:] = docs[1:] != docs[:-1]
     starts = np.flatnonzero(new)
     u_docs = docs[starts]
-    u_scores = np.add.reduceat(scores, starts).astype(dtype, copy=False)
+    # explicit empty+fill, not np.r_ (~35us of Python per call)
+    ends = np.empty(len(starts), np.int64)
+    ends[:-1] = starts[1:]
+    ends[-1] = len(docs)
+    lens = ends - starts
+    # sum each doc's run left to right, as the dense accumulator does:
+    # np.add.reduceat adds a run's tail pairwise, which rounds
+    # differently once a doc matches three or more children
+    u_scores = scores[starts]
+    live = np.flatnonzero(lens > 1)
+    j = 1
+    while len(live):
+        u_scores[live] += scores[starts[live] + j]
+        j += 1
+        live = live[lens[live] > j]
     if counts_needed:
-        # explicit empty+fill, not np.r_ (~35us of Python per call)
-        ends = np.empty(len(starts), np.int64)
-        ends[:-1] = starts[1:]
-        ends[-1] = len(docs)
-        return u_docs, u_scores, ends - starts
+        return u_docs, u_scores, lens
     return u_docs, u_scores
+
+
+def intersect_sum(res, dtype):
+    """Docs present in every child's (docs, scores) of ``res`` —
+    intersected smallest-first, which is order-free — with the children's
+    scores summed per doc in child order."""
+    if not res:
+        return _empty(dtype)
+    order = sorted(range(len(res)), key=lambda i: len(res[i][0]))
+    common = res[order[0]][0]
+    for i in order[1:]:
+        if not len(common):
+            break
+        common = common[_isin_sorted(common, res[i][0])]
+    if not len(common):
+        return _empty(dtype)
+    total = np.zeros(len(common), dtype=dtype)
+    for docs, scores in res:
+        at = np.searchsorted(docs, common)
+        total = total + scores[at].astype(dtype, copy=False)
+    return common, total
 
 
 class Filter:
@@ -104,6 +155,20 @@ class Filter:
 class Prepared:
     def execute(self, seg) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def execute_global(self, segments) -> tuple[np.ndarray, np.ndarray]:
+        """Every match over ``segments`` — the snapshot this node was
+        prepared on — as (sorted int64 global docs, scores), masks
+        applied: ``execute`` per segment, masked, shifted by ``base``."""
+        docs_l, scores_l = [], []
+        for seg in segments:
+            docs, scores = seg.apply_mask(*self.execute(seg))
+            if len(docs):
+                docs_l.append(docs + seg.base)
+                scores_l.append(scores)
+        if not docs_l:
+            return _empty(np.float64)
+        return np.concatenate(docs_l), np.concatenate(scores_l)
 
     def route(self, seg):
         """(node, segment) the executor should run WAND kernels against —
@@ -171,20 +236,23 @@ class TermFilter(Filter):
         return {self.term}
 
     def prepare(self, reader, scorer, df_map=None):
-        idxs = [seg.reader.lookup(self.term) for seg in reader.segments]
+        rows, df, idx_by_seg = reader.memo.rows(self.term)
         if df_map is not None:
             df = df_map.get(self.term, 0)
-        else:
-            df = sum(int(seg.reader.df_array()[i])
-                     for seg, i in zip(reader.segments, idxs) if i >= 0)
-        prep = scorer.prepare(reader.stats, df, self.boost)
-        return _PreparedTerm(dict(zip((s.id for s in reader.segments), idxs)), prep)
+        return _PreparedTerm(self.term, rows, idx_by_seg, reader.memo,
+                             scorer.prepare(reader.stats, df, self.boost))
 
 
 class _PreparedTerm(Prepared):
-    def __init__(self, idx_by_seg, scorer_prep):
-        self.idx_by_seg = idx_by_seg
+    def __init__(self, term, rows, idx_by_seg, memo, scorer_prep):
+        self.term, self.rows, self.idx_by_seg = term, rows, idx_by_seg
+        self.memo = memo
         self.sp = scorer_prep
+
+    def execute_global(self, segments):
+        if segments is not self.memo.segments:
+            return super().execute_global(segments)
+        return self.memo.scored(self.term, self.rows, self.sp)
 
     def execute(self, seg):
         i = self.idx_by_seg.get(seg.id, -1)
@@ -227,9 +295,22 @@ class _PreparedUnion(Prepared):
 
     def execute_counts(self, seg):
         """(docs, scores, n matched children per doc) after min_match."""
-        res = [c.execute(seg) for c in self.children]
-        docs, scores, counts = union_sum([r[0] for r in res], [r[1] for r in res],
-                                         counts_needed=True, dtype=self.dtype)
+        return self._combine([c.execute(seg) for c in self.children], True)
+
+    def execute_global(self, segments):
+        docs, scores, _ = self._combine([c.execute_global(segments)
+                                         for c in self.children], False)
+        return docs, scores
+
+    def _combine(self, res, counts_needed: bool):
+        """union_sum + min_match; counts are None unless asked for (a
+        global union's counts array is as long as its result)."""
+        need = counts_needed or self.min_match > 1
+        out = union_sum([r[0] for r in res], [r[1] for r in res],
+                        counts_needed=need, dtype=self.dtype)
+        if not need:
+            return (*out, None)
+        docs, scores, counts = out
         if self.min_match > 1:
             keep = counts >= self.min_match
             return docs[keep], scores[keep], counts[keep]
@@ -258,68 +339,12 @@ class _PreparedAnd(Prepared):
         self.dtype = dtype
 
     def execute(self, seg):
-        if all(isinstance(c, _PreparedTerm) for c in self.children):
-            return self._execute_terms(seg)
-        res = [c.execute(seg) for c in self.children]
-        common = None
-        for docs, _ in res:
-            common = docs if common is None else common[np.isin(common, docs, assume_unique=True)]
-            if len(common) == 0:
-                return _empty(self.dtype)
-        total = np.zeros(len(common), dtype=self.dtype)
-        for docs, scores in res:
-            pos = np.searchsorted(docs, common)
-            total = total + scores[pos].astype(self.dtype, copy=False)
-        return common, total
+        return intersect_sum([c.execute(seg) for c in self.children],
+                             self.dtype)
 
-    def _execute_terms(self, seg):
-        """Cost-ordered leapfrog for all-term conjunctions (reference
-        conjunction.hpp:97-260, cost sort boolean_filter.cpp:416): iterate
-        children by ascending df; a wide child decodes ONLY the 128-posting
-        blocks that can contain the current common set (targeted seek via
-        skip last_doc) instead of its whole list.  Exact: docs outside the
-        smallest list can never match the conjunction."""
-        idxs = [c.idx_by_seg.get(seg.id, -1) for c in self.children]
-        if any(i < 0 for i in idxs):
-            return _empty(self.dtype)
-        dfa = seg.reader.df_array()
-        order = np.argsort([int(dfa[i]) for i in idxs], kind="stable")
-        posts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        common = None
-        for pos in order:
-            i = idxs[pos]
-            sk = seg.reader.skips(i)
-            mask = None
-            # targeted decode pays only on LONG lists (consolidated
-            # multi-million-doc segments): below ~64 blocks the mask
-            # bookkeeping costs more than one whole-blob pass
-            if (common is not None and sk is not None
-                    and len(sk["last_doc"]) >= 64
-                    and len(common) * 16 < int(dfa[i])):
-                blk = np.searchsorted(sk["last_doc"], common, side="left")
-                blk = blk[blk < len(sk["last_doc"])]
-                mask = np.zeros(len(sk["last_doc"]), dtype=bool)
-                mask[np.unique(blk)] = True
-                if mask.mean() > 0.25:
-                    # candidates touch most blocks: one whole-blob pass
-                    # beats per-block decodes (same trap as union WAND)
-                    mask = None
-            if mask is not None:
-                docs, freqs = seg.reader.decode_blocks(i, mask)
-            else:
-                docs, freqs = seg.reader.postings(i)
-            docs = docs.astype(np.int64, copy=False)
-            posts[pos] = (docs, freqs)
-            common = docs if common is None else common[_isin_sorted(common, docs)]
-            if not len(common):
-                return _empty(self.dtype)
-        total = np.zeros(len(common), dtype=self.dtype)
-        dls = seg.reader.doc_len[common - 1]
-        for pos, c in enumerate(self.children):  # child order: score parity
-            docs, freqs = posts[pos]
-            at = np.searchsorted(docs, common)
-            total = total + c.sp.score(freqs[at], dls, seg.tiny)
-        return common, total
+    def execute_global(self, segments):
+        return intersect_sum([c.execute_global(segments)
+                              for c in self.children], self.dtype)
 
 
 class OrFilter(Filter):
@@ -523,12 +548,9 @@ class PhraseFilter(Filter):
             idf_sum = 0.0
             idx_maps = []
             for t in self.terms:
-                idxs = {seg.id: seg.reader.lookup(t) for seg in reader.segments}
+                _, df, idxs = reader.memo.rows(t)
                 if df_map is not None:
                     df = df_map.get(t, 0)
-                else:
-                    df = sum(int(seg.reader.df_array()[i])
-                             for seg, i in ((s, idxs[s.id]) for s in reader.segments) if i >= 0)
                 idf_sum += scorer.idf(reader.stats.docs_with_field, df)
                 idx_maps.append(idxs)
             prep = scorer.prepare(reader.stats, df=0, boost=self.boost,
@@ -747,8 +769,7 @@ class NgramSimilarityFilter(Filter):
         return set(self.ngrams)
 
     def prepare(self, reader, scorer, df_map=None):
-        idx_maps = [{seg.id: seg.reader.lookup(t) for seg in reader.segments}
-                    for t in self.ngrams]
+        idx_maps = [reader.memo.rows(t)[2] for t in self.ngrams]
         m = len(self.ngrams)
         min_matches = max(1, int(np.ceil(self.threshold * m)))
         return _PreparedNgramSim(idx_maps, m, min_matches, self.boost,
@@ -930,35 +951,65 @@ class _ExpansionFilter(Filter):
     def prepare(self, reader, scorer, df_map=None):
         matches = {seg.id: self._cached_match(seg.reader)
                    for seg in reader.segments}
+        local_df: dict[str, int] = defaultdict(int)
+        for seg in reader.segments:
+            rows = matches[seg.id]
+            if len(rows):
+                terms = seg.reader.terms[rows]
+                dfs = seg.reader.df_array()[rows]
+                for t, d in zip(terms, dfs):
+                    local_df[t] += int(d)
         if df_map is not None:
             pfx = self._node_key()
             df_by_term: dict[str, int] = {
                 k[len(pfx):]: v for k, v in df_map.items()
                 if isinstance(k, str) and k.startswith(pfx)}
-        else:  # derive dfs from the matches just computed (no second scan)
-            df_by_term = defaultdict(int)
-            for seg in reader.segments:
-                rows = matches[seg.id]
-                if len(rows):
-                    terms = seg.reader.terms[rows]
-                    dfs = seg.reader.df_array()[rows]
-                    for t, d in zip(terms, dfs):
-                        df_by_term[t] += int(d)
-            df_by_term = dict(df_by_term)
+        else:
+            df_by_term = dict(local_df)
         scored = set(df_by_term)
         if self.scored_terms_limit is not None and len(scored) > self.scored_terms_limit:
             best = sorted(df_by_term.items(), key=lambda kv: (-kv[1], kv[0]))
             scored = {t for t, _ in best[:self.scored_terms_limit]}
         preps = {t: scorer.prepare(reader.stats, df_by_term[t], self.boost)
                  for t in scored}
-        return _PreparedExpansion(matches, preps, scorer.dtype)
+        return _PreparedExpansion(matches, preps, scorer.dtype,
+                                  sorted(local_df), reader.memo)
+
+
+class _ZeroScore:
+    """Scores every posting 0: a matched term beyond scored_terms_limit."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def score(self, freqs, doc_lens, tiny):
+        return np.zeros(len(freqs), dtype=self.dtype)
+
+    def key(self):
+        return ("zero",)
 
 
 class _PreparedExpansion(Prepared):
-    def __init__(self, matches, preps, dtype):
+    def __init__(self, matches, preps, dtype, terms, memo):
         self.matches = matches
         self.preps = preps
         self.dtype = dtype
+        self.terms = terms  # matched in the snapshot, code-point order
+        self.memo = memo
+
+    def execute_global(self, segments):
+        """Every matched term's memo entry, summed per doc in code-point
+        term order — each segment's dictionary row order."""
+        if segments is not self.memo.segments:
+            return super().execute_global(segments)
+        zero = _ZeroScore(self.dtype)
+        docs_l, scores_l = [], []
+        for t in self.terms:
+            docs, scores = self.memo.scored(t, self.memo.rows(t)[0],
+                                            self.preps.get(t, zero))
+            docs_l.append(docs)
+            scores_l.append(scores)
+        return union_sum(docs_l, scores_l, dtype=self.dtype)
 
     def execute(self, seg):
         docs, scores, _ = self.execute_counts(seg)

@@ -427,3 +427,36 @@ def test_anchor_text_index(ray_session, tmp_path_factory):
     s3 = IndexSearcher(reader3, BM25())
     assert len(s3.search(TermFilter("nulpage"), k=10)) == 0
     assert len(s3.search(TermFilter("widgets"), k=10)) == 2
+
+
+def test_drop_stages_compare_whole_keys(ray_session, tmp_path):
+    """Keys that differ only by trailing NULs stay distinct in ingest's
+    drop stages, whichever side holds the NUL (a fixed-width numpy
+    unicode array strips trailing NULs, so there 'u1' == 'u1\\x00')."""
+    import pyarrow as pa
+
+    from iresearch_ray.pipelines.ingest import _drop_ids
+
+    ds = ray.data.from_arrow(pa.table({"url": ["u1", "u1\x00", "u2", ""]}))
+
+    def kept(ids):
+        return sorted(r["url"] for r in _drop_ids(ds, ids, "url").take_all())
+
+    assert kept({"u1"}) == ["", "u1\x00", "u2"]
+    assert kept({"u1\x00"}) == ["", "u1", "u2"]
+
+    # an exact-duplicate group keeps its min id 'u1' and drops the copy
+    t = synthesize_pages(3)
+    html = t["html"].to_pylist()
+    t = t.set_column(t.schema.get_field_index("url"), "url",
+                     pa.array(["u1", "u1\x00", "u2"]))
+    t = t.set_column(t.schema.get_field_index("html"), "html",
+                     pa.array([html[0], html[0], html[2]]))
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(t, pages)
+    man = ingest(ray.data.read_parquet(pages), str(tmp_path / "work"),
+                 target_docs=10)
+    reader = IndexReader(str(tmp_path / "work" / "index"))
+    keys = sorted(k for seg in reader.segments for k in seg.reader.keys)
+    assert keys == ["u1", "u2"]
+    assert man["ingest_counters"]["duplicates_dropped"] == 1

@@ -586,3 +586,23 @@ def test_more_like_this_empty_seed(index):
     reader, _ = index
     out = more_like_this(IndexSearcher(reader, BM25()), "??? !!!")
     assert len(out) == 0
+
+
+def test_hits_frame_columns_and_dtypes(index):
+    """Every searcher returns (doc int64, key object, score float64), also
+    when nothing matches."""
+    from iresearch_ray.search.executor import hits_frame
+
+    cols, dtypes = ["doc", "key", "score"], ["int64", "object", "float64"]
+    empty = hits_frame((), (), ())
+    assert list(empty.columns) == cols and len(empty) == 0
+    assert [str(t) for t in empty.dtypes] == dtypes
+    f = hits_frame(np.array([3, 1], dtype=np.int32),
+                   np.array([1.5, 0.5], dtype=np.float32), ["a", "b\x00"])
+    assert [str(t) for t in f.dtypes] == dtypes
+    assert f.to_dict("list") == {"doc": [3, 1], "key": ["a", "b\x00"],
+                                 "score": [1.5, 0.5]}
+    reader, _ = index
+    s = IndexSearcher(reader, BM25())
+    for flt in (TermFilter("hterm"), TermFilter("the-missing")):
+        assert [str(t) for t in s.search(flt, k=5).dtypes] == dtypes

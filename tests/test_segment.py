@@ -111,7 +111,7 @@ def test_arrow_and_python_tokenize_paths_write_identical_segments(
     bytes: one ascii corpus (mixed case, punctuation, NULs, null and
     empty rows, an all-null batch, many batches so the per-batch
     dictionaries merge at flush) built twice through ``build_one``, the
-    second time with ``arrow_split_pattern`` cleared on the analyzer."""
+    second time with ``arrow_tokenize`` cleared on the analyzer."""
     import os
 
     import pyarrow as pa
@@ -139,7 +139,7 @@ def test_arrow_and_python_tokenize_paths_write_identical_segments(
         task = build_mod.BuildSegmentTask(str(tmp_path / name), "ascii", {},
                                           "text", "url")
         if not arrow:
-            task.analyzer.arrow_split_pattern = None
+            task.analyzer.arrow_tokenize = False
         n_before = len(arrow_calls)
         spec, = build_mod.plan_segments(path, target_docs=len(texts))
         meta = task.build_one(spec)
